@@ -1,17 +1,17 @@
 """Substrate micro-benchmarks: the primitives everything else is built on.
 
 Not tied to one experiment; tracks regression-sensitive kernels:
-demand-profile construction (sum of pulses), the optimal-configuration DP,
-interval-tree queries, the event sweep and feasibility validation.
+demand-profile construction (sum of pulses), the batched optimal-configuration
+search, interval-tree queries, the event sweep and feasibility validation.
 """
 
 import numpy as np
 
 from repro import (
-    ConfigSolver,
     dec_ladder,
     dec_offline,
     elementary_segments,
+    solve_configs,
     sum_pulses,
     sweep_busy_union,
     sweep_grouped_busy_time,
@@ -54,17 +54,11 @@ def test_kernel_sweep_grouped_busy_time_10k(benchmark, bench_rng):
 
 def test_kernel_config_solver(benchmark):
     ladder = dec_ladder(5)
-    solver = ConfigSolver(ladder)
-    demands = [
-        tuple(sorted((float(x), float(x) * 0.6, float(x) * 0.3, float(x) * 0.1, 0.0), reverse=True))
-        for x in np.linspace(0.5, 200, 300)
-    ]
-
-    def solve_all():
-        return [solver.solve(d) for d in demands]
-
-    results = benchmark(solve_all)
-    assert all(r.rate >= 0 for r in results)
+    x = np.linspace(0.5, 200, 300)[:, None]
+    demands = x * np.array([1.0, 0.6, 0.3, 0.1, 0.0])
+    rates, counts = benchmark(solve_configs, demands, ladder)
+    assert (rates >= 0).all()
+    assert counts.shape == (300, ladder.m)
 
 
 def test_kernel_interval_tree_queries(benchmark, bench_rng):

@@ -95,7 +95,7 @@ from .schedule.validate import (
     assert_feasible,
     validate_schedule,
 )
-from .lowerbound.config import ConfigSolver, OptimalConfig, optimal_config
+from .lowerbound.config import ConfigSolver, OptimalConfig, optimal_config, solve_configs
 from .lowerbound.bound import LowerBoundResult, lower_bound
 from .placement.chart import Band, DemandChart, Placement
 from .placement.greedy import place_jobs
@@ -221,6 +221,7 @@ __all__ = [
     "ConfigSolver",
     "OptimalConfig",
     "optimal_config",
+    "solve_configs",
     "LowerBoundResult",
     "lower_bound",
     "Band",

@@ -17,8 +17,8 @@ compaction — no per-job Python in any hot loop.
 Dispatch
 --------
 Batch entry points (``JobSet.demand_profile``, ``Schedule.busy_times``,
-``lower_bound``, DEC-OFFLINE strip peeling, the experiment harness) route
-through :func:`use_vectorized`: instances with at least :func:`vec_threshold`
+DEC-OFFLINE strip peeling, the experiment harness) route through
+:func:`use_vectorized`: instances with at least :func:`vec_threshold`
 jobs take the columnar path, smaller ones stay on the sweep kernels, and the
 ``*_reference`` twins remain the ground-truth oracle tier underneath both
 (BSHM003 keeps them out of production paths).  The decision is a pure integer

@@ -15,44 +15,74 @@ Theorem-2 analysis benches.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..analysis.profiling import Profiler
 from ..core.intervals import Interval, IntervalSet
 from ..core.stepfun import StepFunction
-from ..core.sweep import sweep_nested_demand
-from ..core.vectorized import use_vectorized, vec_nested_demand
+from ..core.vectorized import vec_nested_demand
 from ..jobs.jobset import JobSet
 from ..machines.ladder import Ladder
-from .config import ConfigSolver
+from .config import solve_configs
 
 __all__ = ["LowerBoundResult", "lower_bound", "configuration_profile"]
 
 
-@dataclass(frozen=True, slots=True)
 class LowerBoundResult:
-    """Lower bound value plus the per-segment optimal configurations."""
+    """Lower bound value plus the per-segment optimal configurations.
 
-    value: float
-    ladder: Ladder
-    segments: tuple  # tuple[Interval, ...]
-    rates: tuple[float, ...]  # optimal cost rate per segment
-    counts: tuple[tuple[int, ...], ...]  # w*(i, t) per segment
+    Stored as columns — segment ends, one rate and one count row per segment
+    where a job is active — and turned into the tuples ``segments``,
+    ``rates`` and ``counts`` only when those are first read.
+    """
+
+    def __init__(
+        self,
+        value: float,
+        ladder: Ladder,
+        lefts: np.ndarray,
+        rights: np.ndarray,
+        rate_column: np.ndarray,
+        count_matrix: np.ndarray,
+    ) -> None:
+        self.value = value
+        self.ladder = ladder
+        self.lefts = lefts  # segment k is [lefts[k], rights[k])
+        self.rights = rights
+        self.rate_column = rate_column  # optimal cost rate per segment
+        self.count_matrix = count_matrix  # (segments, m): w*(i, t) in column i-1
+
+    @cached_property
+    def segments(self) -> tuple[Interval, ...]:
+        """The segments where at least one job is active, in time order."""
+        return tuple(
+            Interval(left, right)
+            for left, right in zip(self.lefts.tolist(), self.rights.tolist())
+        )
+
+    @cached_property
+    def rates(self) -> tuple[float, ...]:
+        """Optimal cost rate per segment."""
+        return tuple(self.rate_column.tolist())
+
+    @cached_property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        """``w*(i, t)`` per segment, ``counts[k][i-1]`` for type ``i``."""
+        return tuple(map(tuple, self.count_matrix.tolist()))
 
     def rate_profile(self) -> StepFunction:
         """Optimal configuration cost rate as a step function of time."""
         return StepFunction.from_segments(
-            (seg.left, seg.right, rate)
-            for seg, rate in zip(self.segments, self.rates)
+            zip(self.lefts.tolist(), self.rights.tolist(), self.rate_column.tolist())
         )
 
     def count_profile(self, i: int) -> StepFunction:
         """``w*(i, ·)`` for one machine type (1-based)."""
+        column = self.count_matrix[:, i - 1].astype(np.float64)
         return StepFunction.from_segments(
-            (seg.left, seg.right, float(counts[i - 1]))
-            for seg, counts in zip(self.segments, self.counts)
+            zip(self.lefts.tolist(), self.rights.tolist(), column.tolist())
         )
 
     def interval_family(self, i: int, j: int) -> IntervalSet:
@@ -62,7 +92,8 @@ class LowerBoundResult:
 
     def max_count(self, i: int) -> int:
         """Peak ``w*(i, .)`` over all segments."""
-        return max((c[i - 1] for c in self.counts), default=0)
+        column = self.count_matrix[:, i - 1]
+        return int(column.max()) if column.size else 0
 
 
 def lower_bound(
@@ -70,72 +101,28 @@ def lower_bound(
 ) -> LowerBoundResult:
     """Exact evaluation of the Eq.-(1) lower bound for an instance.
 
-    The nested per-type demands ``s(J_{>=i}, t)`` come from ONE merged event
-    sweep (:func:`~repro.core.sweep.sweep_nested_demand`) instead of ``m``
-    independent profile constructions; segments where no job is active are
-    skipped, exactly as :meth:`JobSet.segments` used to do.
-
-    Instances of at least :func:`~repro.core.vectorized.vec_threshold` jobs
-    build the demand matrix on the columnar path
-    (:func:`~repro.core.vectorized.vec_nested_demand`) and deduplicate the
-    per-segment demand columns before solving — each distinct configuration
-    is solved once and the integral is one dot product, instead of ``k``
-    Python loop iterations through the solver cache.
+    The nested per-type demands ``s(J_{>=i}, t)`` come from one sort of the
+    columnar event queue (:func:`~repro.core.vectorized.vec_nested_demand`);
+    segments where no job is active are skipped.  Every remaining segment's
+    optimal configuration comes from one batched search
+    (:func:`~repro.lowerbound.config.solve_configs`), and the integral is
+    one dot product of the rates with the segment lengths.
     """
-    if jobs.empty:
-        return LowerBoundResult(0.0, ladder, (), (), ())
-    vectorized = use_vectorized(len(jobs))
-    if vectorized:
-        a = jobs.to_arrays()
-        times, active, demand_matrix = vec_nested_demand(
-            a.starts, a.ends, a.sizes, ladder.capacities
-        )
-    else:
-        times, active, demand_matrix = sweep_nested_demand(
-            list(jobs), ladder.capacities
-        )
+    a = jobs.to_arrays()
+    times, active, demand_matrix = vec_nested_demand(
+        a.starts, a.ends, a.sizes, ladder.capacities
+    )
     live = np.flatnonzero(active > 0)
-    if live.size == 0:
-        return LowerBoundResult(0.0, ladder, (), (), ())
-    segments = [
-        Interval(float(times[k]), float(times[k + 1])) for k in live
-    ]
     if profiler is not None:
-        profiler.count("lb.segments", len(segments))
+        profiler.count("lb.segments", int(live.size))
         profiler.count("lb.jobs", len(jobs))
 
-    solver = ConfigSolver(ladder)
-    rates: list[float] = []
-    counts: list[tuple[int, ...]] = []
-    total = 0.0
     ctx = profiler.timer("lb.config-solve") if profiler is not None else nullcontext()
     with ctx:
-        if vectorized:
-            # solve each *distinct* demand column once (exact float match,
-            # the same keying the solver cache uses), then contract rates
-            # against segment lengths in one dot product
-            cols = np.ascontiguousarray(demand_matrix[:, live].T)
-            uniq_cols, inverse = np.unique(cols, axis=0, return_inverse=True)
-            configs = [solver.solve(tuple(col)) for col in uniq_cols]
-            inverse = inverse.ravel()
-            rate_arr = np.array([c.rate for c in configs])[inverse]
-            lengths = np.diff(times)[live]
-            total = float(np.dot(rate_arr, lengths))
-            rates = [float(r) for r in rate_arr]
-            counts = [configs[i].counts for i in inverse]
-        else:
-            for k, seg in zip(live, segments):
-                config = solver.solve(tuple(demand_matrix[:, k]))
-                rates.append(config.rate)
-                counts.append(config.counts)
-                total += config.rate * seg.length
-    return LowerBoundResult(
-        value=total,
-        ladder=ladder,
-        segments=tuple(segments),
-        rates=tuple(rates),
-        counts=tuple(counts),
-    )
+        rates, counts = solve_configs(demand_matrix[:, live].T, ladder)
+        lefts, rights = times[live], times[live + 1]
+        value = float(np.dot(rates, np.diff(times)[live]))
+    return LowerBoundResult(value, ladder, lefts, rights, rates, counts)
 
 
 def configuration_profile(jobs: JobSet, ladder: Ladder) -> StepFunction:

@@ -1,4 +1,5 @@
-"""Scale smoke: every scheduler stays correct and fast on a 2000-job trace."""
+"""Scale smoke: every scheduler and the lower bound stay correct and fast
+on 2000-job traces."""
 
 import time
 
@@ -61,3 +62,17 @@ class TestScale:
         assert time.perf_counter() - start < 30.0
         assert lb.value > 0
         assert len(lb.segments) > 1000
+
+    def test_lower_bound_inc_high_live(self):
+        # INC(4) at ~250 live jobs: the configuration search must not grow
+        # steeply with the live level
+        ladder = inc_ladder(4)
+        rng = np.random.default_rng(2024)
+        jobs = poisson_workload(
+            2000, rng, mean_duration=250.0, max_size=ladder.capacity(4)
+        )
+        start = time.perf_counter()
+        lb = lower_bound(jobs, ladder)
+        assert time.perf_counter() - start < 5.0  # generous CI margin; ~0.1 s typical
+        assert lb.value > 0
+        assert max(sum(c) for c in lb.counts) > 100  # hundreds of machines live

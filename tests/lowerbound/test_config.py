@@ -1,7 +1,8 @@
 """Unit tests for the optimal-machine-configuration solver.
 
-The DP is cross-checked against a scipy MILP formulation of the same
-integer program on randomized demand vectors.
+The solver is cross-checked against a scipy MILP formulation of the same
+integer program on randomized demand vectors; its bit-exact agreement with
+the recursive reference search is in ``test_batched_search.py``.
 """
 
 import numpy as np

@@ -13,8 +13,9 @@ language of one event at a time:
   by the runtime,
 - :mod:`~repro.service.server` — the asyncio JSON-lines server behind
   ``bshm serve`` (overload shedding, graceful drain, structured errors),
-- :mod:`~repro.service.state` — O(state) full-state snapshots (exact
-  float loads, no event replay) backing WAL compaction,
+- :mod:`~repro.service.state` — full-state snapshots (exact float loads,
+  no event replay) backing WAL compaction, encoded incrementally by
+  :class:`SnapshotEncoder`,
 - :mod:`~repro.service.wal` — the durable write-ahead log with CRC
   framing, torn-tail recovery and snapshot+delta restore,
 - :mod:`~repro.service.faults` — deterministic seed-driven fault
@@ -75,7 +76,7 @@ from .shard import (
     serve_sharded,
     start_worker_fleet,
 )
-from .state import capture_state, restore_state
+from .state import SnapshotEncoder, capture_state, restore_state
 from .storage import (
     MemoryStore,
     RecoveredStore,
@@ -118,6 +119,7 @@ __all__ = [
     "ShardError",
     "ShardRouter",
     "ShardWorker",
+    "SnapshotEncoder",
     "StateStore",
     "StorageError",
     "StoreWriter",

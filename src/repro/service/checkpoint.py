@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..machines.ladder import Ladder
 from ..machines.types import MachineType
+from ..schedule.schedule import MachineKey
 from .runtime import SchedulerRuntime
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,9 +64,10 @@ class CheckpointError(ValueError):
     failed its self-verification on restore."""
 
 
-def _dumps(obj: object) -> str:
-    """Canonical JSON: sorted keys, no whitespace — the byte-stable form."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+#: Canonical JSON — sorted keys, no whitespace, the byte-stable form of
+#: every trace line, WAL frame, store row and state snapshot.  One encoder
+#: instance serves them all (``json.dumps`` would build a new one per call).
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _require_config(runtime: SchedulerRuntime) -> dict:
@@ -82,9 +84,12 @@ def _ladder_from_config(pairs: Iterable[Sequence[float]]) -> Ladder:
 
 
 def _apply_event(runtime: SchedulerRuntime, event: dict) -> None:
+    """Replay one logged event; any refusal is a :class:`CheckpointError`."""
     if not isinstance(event, dict):
         raise CheckpointError(f"event must be a JSON object, got {type(event).__name__}")
     op = event.get("op")
+    if op not in ("submit", "depart", "advance"):
+        raise CheckpointError(f"unknown trace op {op!r}")
     try:
         if op == "submit":
             runtime.submit(
@@ -92,23 +97,59 @@ def _apply_event(runtime: SchedulerRuntime, event: dict) -> None:
             )
         elif op == "depart":
             runtime.depart(event["uid"], event["t"])
-        elif op == "advance":
-            runtime.advance(event["t"])
         else:
-            raise CheckpointError(f"unknown trace op {op!r}")
+            runtime.advance(event["t"])
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"malformed {op!r} event: {exc!r}") from exc
+    except ValueError as exc:
+        # the live runtime accepted this record, so a replay that refuses
+        # it means the log and the code disagree: name the record
+        raise CheckpointError(
+            f"replay refused logged event {_dumps(event)}: {exc}"
+        ) from exc
+
+
+def _key_to_wire(key: MachineKey) -> list:
+    """A machine key's wire form ``[type, [tag...]]``."""
+    return [key.type_index, list(key.tag)]
+
+
+def _key_json(key: MachineKey, cache: dict[MachineKey, str]) -> str:
+    """Canonical JSON of :func:`_key_to_wire`, memoized in ``cache``."""
+    text = cache.get(key)
+    if text is None:
+        text = cache[key] = _dumps(_key_to_wire(key))
+    return text
+
+
+def _digest_fragments(
+    placed: Iterable[tuple[int, MachineKey]], key_json: dict[MachineKey, str]
+) -> list[str]:
+    """The ``"uid":[type,[tag]]`` members of the assignment mapping.
+
+    Sorting the fragments as strings sorts them by ``str(uid)``, the order
+    canonical JSON gives the mapping's keys: the quote closing a uid sorts
+    below every character another uid could continue with.
+    """
+    return [f'"{uid}":{_key_json(key, key_json)}' for uid, key in placed]
+
+
+def _digest_of(fragments: list[str]) -> str:
+    """SHA-256 of the canonical mapping whose sorted members are given."""
+    return hashlib.sha256(("{" + ",".join(fragments) + "}").encode()).hexdigest()
 
 
 def assignment_digest(runtime: SchedulerRuntime) -> str:
     """SHA-256 over the canonical uid -> machine mapping (open + closed)."""
-    mapping = {}
-    for uid in runtime.active_uids():
-        key = runtime.machine_of(uid)
-        mapping[str(uid)] = [key.type_index, list(key.tag)]
-    for job, key in runtime.schedule().assignment.items():
-        mapping[str(job.uid)] = [key.type_index, list(key.tag)]
-    return hashlib.sha256(_dumps(mapping).encode()).hexdigest()
+    key_json: dict[MachineKey, str] = {}
+    fragments = _digest_fragments(
+        ((uid, entry[3]) for uid, entry in runtime._open.items()), key_json
+    )
+    fragments += _digest_fragments(
+        ((job.uid, key) for job, key in runtime._closed.values()), key_json
+    )
+    fragments.sort()
+    return _digest_of(fragments)
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,12 @@ class SchedulerRuntime:
         name: str | None = None,
         uid: int | None = None,
     ) -> Admission:
-        """One job arrives.  Returns the admission decision."""
+        """One job arrives.  Returns the admission decision.
+
+        A submit that raises leaves the runtime exactly as it was: the
+        arrival is logged, its uid used and the clock moved only once the
+        job is rejected by a policy or placed by the scheduler.
+        """
         arrival = float(arrival)
         if not math.isfinite(arrival):
             raise AdmissionError("arrival time must be finite")
@@ -329,10 +334,11 @@ class SchedulerRuntime:
             raise AdmissionError(
                 f"time ran backwards: arrival {arrival:g} < clock {self.clock:g}"
             )
+        auto_uid = uid is None
         if uid is None:
-            while self._next_uid in self._used_uids:
-                self._next_uid += 1
             uid = self._next_uid
+            while uid in self._used_uids:
+                uid += 1
         uid = int(uid)
         if uid in self._used_uids:
             raise AdmissionError(f"duplicate job uid {uid}")
@@ -341,17 +347,10 @@ class SchedulerRuntime:
         if view.size <= 0 or not math.isfinite(view.size):
             raise AdmissionError(f"job size must be positive and finite, got {size}")
 
-        self._used_uids.add(uid)
-        self.clock = arrival
-        self._log.append(
-            {"op": "submit", "t": arrival, "uid": uid, "size": view.size,
-             "name": view.name}
-        )
-        self.metrics.counter("arrivals").inc()
-
         for policy in self._policies:
             reason = policy(view, self)
             if reason is not None:
+                self._record_arrival(view, auto_uid)
                 self._rejected[uid] = reason
                 self.metrics.counter("rejections").inc()
                 return Admission(uid=uid, accepted=False, machine=None,
@@ -367,6 +366,7 @@ class SchedulerRuntime:
         latency = time.perf_counter() - t0  # bshm: ignore[BSHM004]
         if not isinstance(key, MachineKey):
             raise TypeError("scheduler must return a MachineKey")
+        self._record_arrival(view, auto_uid)
         if stats is not None:
             depth = stats.probes - probes_before
             self.metrics.counter("placement_probes").inc(depth)
@@ -472,6 +472,18 @@ class SchedulerRuntime:
         return total
 
     # -- internals ----------------------------------------------------------
+    def _record_arrival(self, view: JobView, auto_uid: bool) -> None:
+        """Commit an arrival that can no longer fail: uid, clock, log."""
+        self._used_uids.add(view.uid)
+        if auto_uid:
+            self._next_uid = view.uid
+        self.clock = view.arrival
+        self._log.append(
+            {"op": "submit", "t": view.arrival, "uid": view.uid, "size": view.size,
+             "name": view.name}
+        )
+        self.metrics.counter("arrivals").inc()
+
     def _sample_gauges(self) -> None:
         self.metrics.gauge("active_jobs").set(len(self._open))
         self.metrics.gauge("busy_machines").set(

@@ -80,6 +80,10 @@ DEFAULT_MAX_INFLIGHT = 64
 #: the server fail-stops identically whichever backend is attached
 PERSISTENCE_ERRORS = (WALError, StorageError)
 
+#: reply lines: sorted keys with the default ``", "``/``": "`` spacing,
+#: from one prebuilt encoder rather than a new one per ``json.dumps``
+_encode_reply = json.JSONEncoder(sort_keys=True).encode
+
 
 def parse_line(line: str) -> "tuple[dict | None, dict | None]":
     """Parse one request line into ``(request, None)`` or ``(None, error)``.
@@ -356,7 +360,7 @@ class JsonLineServer:
                 return
 
     async def _send(self, writer: asyncio.StreamWriter, response: dict) -> None:
-        writer.write((json.dumps(response, sort_keys=True) + "\n").encode())
+        writer.write((_encode_reply(response) + "\n").encode())
         await writer.drain()
 
     async def _respond(self, line: str) -> dict:

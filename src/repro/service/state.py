@@ -1,10 +1,15 @@
-"""Full-state snapshots of a :class:`SchedulerRuntime` — O(state) restore.
+"""Full-state snapshots of a :class:`SchedulerRuntime` — restore without replay.
 
 The event-sourced checkpoints in :mod:`repro.service.checkpoint` rebuild a
 runtime by replaying its entire event log: exact, self-verifying, and O(n)
 in the life of the service.  This module serializes the runtime's *state*
 instead, so the write-ahead log can restore as latest-snapshot + O(delta)
-replay.
+replay.  The state includes the history that only grows — every closed
+job, busy interval and uid — so a snapshot's bytes and its restore time
+grow with history, not only with the live state; :class:`SnapshotEncoder`
+keeps the encoded history between snapshots, so the Python work of each
+further snapshot grows only with the events since the previous one plus
+the live state.
 
 What is captured is precisely the mutable state future behavior depends on:
 
@@ -34,6 +39,8 @@ history; ``record_trace``/``snapshot`` refuse rather than emit a lie.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from typing import Any
 
@@ -41,13 +48,18 @@ from ..jobs.job import Job
 from ..schedule.schedule import MachineKey
 from .checkpoint import (
     CheckpointError,
+    _digest_fragments,
+    _digest_of,
+    _dumps,
+    _key_json,
+    _key_to_wire,
     _runtime_from_config,
     assignment_digest,
 )
 from .metrics import MetricsRegistry
 from .runtime import SchedulerRuntime
 
-__all__ = ["STATE_VERSION", "capture_state", "restore_state"]
+__all__ = ["STATE_VERSION", "SnapshotEncoder", "capture_state", "restore_state"]
 
 STATE_VERSION = 1
 
@@ -55,10 +67,6 @@ STATE_VERSION = 1
 #: (latency histograms and probe counts are observability-only and are
 #: deliberately NOT part of the state contract)
 _DETERMINISTIC_COUNTERS = ("arrivals", "departures", "rejections")
-
-
-def _key_to_wire(key: MachineKey) -> list:
-    return [key.type_index, list(key.tag)]
 
 
 def _key_from_wire(obj: Any) -> MachineKey:
@@ -79,49 +87,134 @@ def _scheduler_pools(runtime: SchedulerRuntime) -> list[tuple[str, Any]]:
     return list(iter_pools())
 
 
-def capture_state(runtime: SchedulerRuntime) -> dict:
-    """Serialize the runtime's full mutable state (JSON-safe, self-verifying)."""
-    if runtime.config is None:
-        raise CheckpointError(
-            "runtime has no serializable config; build it with "
-            "SchedulerRuntime.create(...) to enable state snapshots"
+class SnapshotEncoder:
+    """Canonical state-snapshot text of one runtime, history encoded once.
+
+    A runtime's closed jobs and busy intervals only ever grow, and every
+    placed uid keeps its machine for good, so the encoder keeps their
+    canonical JSON between calls: the closed-job rows in ``_closed`` order,
+    each machine's busy intervals, and the assignment digest's
+    ``"uid":[type,[tag]]`` fragments in ``str(uid)`` order.  Each
+    :meth:`encode` adds what arrived since the previous call and encodes
+    the live parts afresh (open jobs, pools, rejections, uids, clock,
+    counters, ``cost()``).  The text is the canonical JSON of the
+    :func:`capture_state` document, byte for byte.
+
+    Python-level work per call is O(events since the last call + live
+    state); joining, hashing and writing the history stays O(history) but
+    runs in C.  :attr:`rows_encoded` counts the history rows (closed jobs
+    plus busy intervals) encoded so far — each exactly once.
+    """
+
+    __slots__ = (
+        "_runtime", "_n_closed", "_closed", "_busy", "_placed", "_key_json",
+        "rows_encoded",
+    )
+
+    def __init__(self, runtime: SchedulerRuntime) -> None:
+        if runtime.config is None:
+            raise CheckpointError(
+                "runtime has no serializable config; build it with "
+                "SchedulerRuntime.create(...) to enable state snapshots"
+            )
+        self._runtime = runtime
+        self._n_closed = 0
+        # encoded closed-job rows, one comma-joined chunk per encode()
+        self._closed: list[str] = []
+        # machine -> [intervals encoded, their comma-joined JSON]
+        self._busy: dict[MachineKey, list] = {}
+        # digest fragments of every closed job, sorted
+        self._placed: list[str] = []
+        self._key_json: dict[MachineKey, str] = {}
+        self.rows_encoded = 0
+
+    def _add_history(self) -> None:
+        runtime = self._runtime
+        new = list(itertools.islice(runtime._closed.values(), self._n_closed, None))
+        if new:
+            self._n_closed += len(new)
+            self.rows_encoded += len(new)
+            self._closed.append(_dumps([
+                [job.uid, job.size, job.arrival, job.departure, job.name,
+                 _key_to_wire(key)]
+                for job, key in new
+            ])[1:-1])
+            self._placed += _digest_fragments(
+                ((job.uid, key) for job, key in new), self._key_json
+            )
+            self._placed.sort()
+        busy = self._busy
+        for key, pairs in runtime._cache._raw.items():
+            entry = busy.get(key)
+            if entry is None:
+                entry = busy[key] = [0, ""]
+            done = entry[0]
+            if len(pairs) > done:
+                chunk = _dumps(pairs[done:])[1:-1]
+                entry[1] = f"{entry[1]},{chunk}" if done else chunk
+                entry[0] = len(pairs)
+                self.rows_encoded += len(pairs) - done
+
+    def encode(self) -> str:
+        """The runtime's state snapshot as canonical JSON text."""
+        self._add_history()
+        runtime = self._runtime
+        pools = _scheduler_pools(runtime)
+        clock = runtime.clock
+        stats = runtime.scheduler.state.stats  # type: ignore[attr-defined]
+        busy = self._busy
+        placed = self._placed + _digest_fragments(
+            ((uid, entry[3]) for uid, entry in runtime._open.items()),
+            self._key_json,
         )
-    pools = _scheduler_pools(runtime)
-    clock = runtime.clock
-    stats = runtime.scheduler.state.stats  # type: ignore[attr-defined]
-    return {
-        "kind": "bshm-state",
-        "version": STATE_VERSION,
-        "config": runtime.config,
-        "n_events": runtime.n_events,
-        "clock": None if not math.isfinite(clock) else clock,
-        "open": [
-            [uid, size, arrival, name, _key_to_wire(key)]
-            for uid, (size, arrival, name, key) in runtime._open.items()
-        ],
-        "closed": [
-            [job.uid, job.size, job.arrival, job.departure, job.name,
-             _key_to_wire(key)]
-            for job, key in runtime._closed.values()
-        ],
-        "rejected": [[uid, reason] for uid, reason in runtime._rejected.items()],
-        "used_uids": sorted(runtime._used_uids),
-        "next_uid": runtime._next_uid,
-        "busy_intervals": [
-            [_key_to_wire(key), [[left, right] for left, right in pairs]]
-            for key, pairs in runtime._cache._raw.items()
-        ],
-        "pools": {label: pool.export_machines() for label, pool in pools},
-        "placement_stats": {"probes": stats.probes, "decisions": stats.decisions},
-        "counters": {
-            name: runtime.metrics.counter(name).value
-            for name in _DETERMINISTIC_COUNTERS
-        },
-        "verify": {
-            "cost": runtime.cost(),
-            "assignment_sha256": assignment_digest(runtime),
-        },
-    }
+        placed.sort()
+        # the document's keys in canonical (sorted) order: the two history
+        # members come first, then everything after "closed" encoded at once
+        head = (
+            '{"busy_intervals":['
+            + ",".join(
+                f"[{_key_json(key, self._key_json)},[{busy[key][1]}]]"
+                for key in runtime._cache._raw
+            )
+            + '],"clock":'
+            + _dumps(None if not math.isfinite(clock) else clock)
+            + ',"closed":['
+            + ",".join(self._closed)
+            + "],"
+        )
+        tail = _dumps({
+            "config": runtime.config,
+            "counters": {
+                name: runtime.metrics.counter(name).value
+                for name in _DETERMINISTIC_COUNTERS
+            },
+            "kind": "bshm-state",
+            "n_events": runtime.n_events,
+            "next_uid": runtime._next_uid,
+            "open": [
+                [uid, size, arrival, name, _key_to_wire(key)]
+                for uid, (size, arrival, name, key) in runtime._open.items()
+            ],
+            "placement_stats": {"probes": stats.probes, "decisions": stats.decisions},
+            "pools": {label: pool.export_machines() for label, pool in pools},
+            "rejected": list(runtime._rejected.items()),
+            "used_uids": sorted(runtime._used_uids),
+            "verify": {
+                "assignment_sha256": _digest_of(placed),
+                "cost": runtime.cost(),
+            },
+            "version": STATE_VERSION,
+        })
+        return head + tail[1:]
+
+
+def capture_state(runtime: SchedulerRuntime) -> dict:
+    """Serialize the runtime's full mutable state (JSON-safe, self-verifying).
+
+    The one-shot form of :class:`SnapshotEncoder`: the parsed document.
+    """
+    doc: dict = json.loads(SnapshotEncoder(runtime).encode())
+    return doc
 
 
 def restore_state(
@@ -129,7 +222,7 @@ def restore_state(
 ) -> SchedulerRuntime:
     """Rebuild a runtime from :func:`capture_state` output and verify it.
 
-    O(state), no event replay.  Raises :class:`CheckpointError` on a
+    Linear in the snapshot, no event replay.  Raises :class:`CheckpointError` on a
     malformed document, unknown version, or any self-verification mismatch
     (clock, cost, assignment digest).
     """

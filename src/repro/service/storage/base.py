@@ -4,15 +4,18 @@ A store holds exactly what the write-ahead layer needs and nothing else:
 
 - an **append-only event log** — the runtime's accepted input stream,
   indexed by a contiguous sequence number starting at 0,
-- a **latest state snapshot** — :func:`repro.service.state.capture_state`
-  output taken at some event count ``n``,
+- a **latest state snapshot** — the canonical JSON text of the runtime's
+  state (:class:`repro.service.state.SnapshotEncoder`) taken at some
+  event count ``n``,
 - the runtime **config** (scheduler wire name, ladder, admission specs),
   persisted once so an empty-but-initialized store can still rebuild.
 
 Restore cost is the contract's whole point: :func:`restore_from_store`
-loads the latest snapshot in O(state) and replays only the **delta** —
-events with sequence number at or above the snapshot — so a restart costs
-O(delta since last compaction) instead of O(every event ever served).
+loads the latest snapshot and replays only the **delta** — events with
+sequence number at or above the snapshot — so a restart replays at most
+the events since the last compaction instead of every event ever served.
+The snapshot itself holds every closed job, busy interval and uid, so
+loading it still grows with history.
 
 Two backends ship: :class:`~repro.service.storage.memory.MemoryStore`
 (tests, ephemeral serving) and
@@ -104,9 +107,14 @@ class StateStore(abc.ABC):
 
     # -- snapshots -----------------------------------------------------------
     @abc.abstractmethod
-    def write_snapshot(self, state: dict) -> None:
-        """Durably record a :func:`capture_state` document (its
-        ``n_events`` field is the snapshot's sequence position)."""
+    def write_snapshot(self, n_events: int, payload: str) -> None:
+        """Durably record a state snapshot taken at event count ``n_events``.
+
+        ``payload`` is the snapshot document already encoded as canonical
+        JSON (:meth:`repro.service.state.SnapshotEncoder.encode`); the
+        store keeps the text as given.  Raises :class:`StorageError` when
+        ``n_events`` lies outside ``[0, n_events()]``.
+        """
 
     @abc.abstractmethod
     def latest_snapshot(self) -> dict | None:

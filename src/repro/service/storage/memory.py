@@ -36,7 +36,8 @@ class MemoryStore(StateStore):
         self._base = 0  # sequence number of self._events[0]
         self._events: list[dict] = []
         self._durable_n = 0  # events [0, durable_n) survive a crash
-        self._snapshot: dict | None = None
+        # (n_events, canonical JSON) of the latest snapshot
+        self._snapshot: tuple[int, str] | None = None
         self._config: dict | None = None
         self._closed = False
 
@@ -66,26 +67,31 @@ class MemoryStore(StateStore):
         return [dict(e) for e in self._events[seq - self._base:]]
 
     # -- snapshots -----------------------------------------------------------
-    def write_snapshot(self, state: dict) -> None:
+    def write_snapshot(self, n_events: int, payload: str) -> None:
         if self._closed:
             raise StorageError("memory store is closed")
-        n = int(state.get("n_events", -1))
-        if n < 0 or n > self.n_events():
+        if n_events < 0 or n_events > self.n_events():
             raise StorageError(
-                f"snapshot n_events {n} outside the store's [0, {self.n_events()}]"
+                f"snapshot n_events {n_events} outside the store's "
+                f"[0, {self.n_events()}]"
             )
         # snapshots are durable on return (parity with the SQLite commit);
         # so is everything they cover
-        self._snapshot = _copy(state)
-        self._durable_n = max(self._durable_n, n)
+        self._snapshot = (n_events, payload)
+        self._durable_n = max(self._durable_n, n_events)
 
     def latest_snapshot(self) -> dict | None:
-        return _copy(self._snapshot) if self._snapshot is not None else None
+        if self._snapshot is None:
+            return None
+        doc = json.loads(self._snapshot[1])
+        if not isinstance(doc, dict):
+            raise StorageError("snapshot must be a JSON object")
+        return doc
 
     def compact(self) -> int:
         if self._snapshot is None:
             return 0
-        n = int(self._snapshot["n_events"])
+        n = self._snapshot[0]
         pruned = max(0, n - self._base)
         self._events = self._events[pruned:]
         self._base = n

@@ -4,7 +4,7 @@ Schema (one database per runtime — per shard, in the sharded service)::
 
     meta(key TEXT PRIMARY KEY, value TEXT)    -- version, config
     events(seq INTEGER PRIMARY KEY, payload TEXT)   -- canonical JSON
-    snapshots(n INTEGER PRIMARY KEY, payload TEXT)  -- capture_state docs
+    snapshots(n INTEGER PRIMARY KEY, payload TEXT)  -- state snapshots (canonical JSON)
 
 Durability model: appends execute inside one open transaction;
 :meth:`sync` commits it, which is the durable-prefix boundary (the
@@ -29,6 +29,7 @@ import sqlite3
 from pathlib import Path
 from typing import Sequence
 
+from ..checkpoint import _dumps
 from .base import STORE_VERSION, StateStore, StorageError
 
 __all__ = ["SQLiteStore"]
@@ -38,10 +39,6 @@ _SCHEMA = (
     "CREATE TABLE IF NOT EXISTS events (seq INTEGER PRIMARY KEY, payload TEXT NOT NULL)",
     "CREATE TABLE IF NOT EXISTS snapshots (n INTEGER PRIMARY KEY, payload TEXT NOT NULL)",
 )
-
-
-def _dumps(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _loads(payload: str, what: str) -> dict:
@@ -170,18 +167,17 @@ class SQLiteStore(StateStore):
         return out
 
     # -- snapshots -----------------------------------------------------------
-    def write_snapshot(self, state: dict) -> None:
-        n = int(state.get("n_events", -1))
-        if n < 0 or n > self._n:
+    def write_snapshot(self, n_events: int, payload: str) -> None:
+        if n_events < 0 or n_events > self._n:
             raise StorageError(
-                f"snapshot n_events {n} outside the store's [0, {self._n}]"
+                f"snapshot n_events {n_events} outside the store's [0, {self._n}]"
             )
         # committing the snapshot also commits every event it covers —
         # snapshots are unconditionally durable, like WAL compaction fsyncs
         self._begin()
         self._sql(
             "INSERT OR REPLACE INTO snapshots (n, payload) VALUES (?, ?)",
-            (n, _dumps(state)),
+            (n_events, payload),
         )
         self._commit()
 

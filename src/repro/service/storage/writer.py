@@ -14,8 +14,13 @@ no protocol change:
   shutdown (the same three policies, and the same loss windows, as the
   file WAL's fsync flag);
 - **compaction** — every ``compact_every`` appends the runtime's full
-  state (:func:`repro.service.state.capture_state`) is written as a
-  snapshot and the covered prefix pruned, so restore stays O(delta).
+  state is written as a snapshot and the covered prefix pruned, so
+  restore replays at most the delta.  The writer's
+  :class:`~repro.service.state.SnapshotEncoder` keeps the history (closed
+  jobs, busy intervals, assignment-digest fragments) encoded between
+  compactions, so a compaction's Python work grows with the events since
+  the last snapshot plus the live state, while the snapshot's bytes grow
+  with history.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..runtime import SchedulerRuntime
-from ..state import capture_state
+from ..state import SnapshotEncoder
 from .base import StateStore, StorageError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,6 +78,7 @@ class StoreWriter:
         self._sync_policy = sync
         self._batch_every = batch_every
         self._compact_every = compact_every
+        self._encoder = SnapshotEncoder(runtime)
         self._pending = 0  # appends since the last sync
         self._since_snapshot = 0
         self._metrics = metrics if metrics is not None else runtime.metrics
@@ -133,7 +139,7 @@ class StoreWriter:
 
     def compact(self) -> int:
         """Snapshot the runtime state and prune the covered event prefix."""
-        self.store.write_snapshot(capture_state(self._runtime))
+        self.store.write_snapshot(self._runtime.n_events, self._encoder.encode())
         pruned = self.store.compact()
         self._pending = 0  # the snapshot commit made everything durable
         self._since_snapshot = 0

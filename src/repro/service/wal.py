@@ -37,12 +37,16 @@ acked event is ever lost), ``batch`` fsyncs every ``batch_every`` appends
 OS.  Segment rotation and snapshot compaction fsync unconditionally, so
 segment *bases* always sit on the durable prefix regardless of policy.
 
-**Compaction.**  Every ``compact_every`` appends the writer serializes the
-runtime's full state (:func:`repro.service.state.capture_state`) to
-``snapshot-<n>.json`` via write-temp / fsync / ``os.replace``, rotates to
-a fresh segment based at ``n`` and prunes every older segment and
-snapshot.  Restore cost then drops from O(events ever) to
-O(state) + O(events since last snapshot) — the delta.
+**Compaction.**  Every ``compact_every`` appends the writer writes the
+runtime's full state to ``snapshot-<n>.json`` via write-temp / fsync /
+``os.replace``, rotates to a fresh segment based at ``n`` and prunes every
+older segment and snapshot.  Restore then loads the snapshot and replays
+only the events since it — the delta — instead of every event ever.  The
+snapshot holds every closed job, busy interval and uid, so its bytes and
+its load time grow with history; the writer's
+:class:`~repro.service.state.SnapshotEncoder` keeps that history encoded
+between compactions, so a compaction's Python work grows with the events
+since the last snapshot plus the live state.
 
 Fault injection: a :class:`repro.service.faults.FaultInjector` threaded
 through the writer intercepts every write and fsync, so chaos tests can
@@ -60,10 +64,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable
 
-from .checkpoint import CheckpointError, _apply_event, _runtime_from_config
+from .checkpoint import CheckpointError, _apply_event, _dumps, _runtime_from_config
 from .faults import FaultInjector
 from .runtime import SchedulerRuntime
-from .state import capture_state, restore_state
+from .state import SnapshotEncoder, restore_state
 
 if TYPE_CHECKING:  # pragma: no cover
     from .metrics import MetricsRegistry
@@ -90,10 +94,6 @@ _SNAPSHOT_SUFFIX = ".json"
 
 class WALError(CheckpointError):
     """The write-ahead log is corrupt, inconsistent, or cannot persist."""
-
-
-def _dumps(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _frame(payload: bytes) -> bytes:
@@ -210,6 +210,7 @@ class WALWriter:
         self._since_snapshot = 0
         self._closed_segments: list[Path] = []
         self._fh: IO[bytes] | None = None
+        self._encoder = SnapshotEncoder(runtime)
         # pre-create the WAL metrics so operators see them at zero
         self._metrics.counter("wal_appends")
         self._metrics.counter("wal_fsyncs")
@@ -320,11 +321,11 @@ class WALWriter:
         """
         if self._fh is None:
             raise WALError("write-ahead log is closed")
-        state = capture_state(self._runtime)
+        payload = self._encoder.encode().encode()
         final = _snapshot_path(self.wal_dir, self._n)
         tmp = final.with_name(final.name + ".tmp")
         with open(tmp, "wb") as fh:
-            self._write(fh, _dumps(state).encode())
+            self._write(fh, payload)
             self._fsync_file(fh)
         os.replace(tmp, final)
         if self._faults is not None:

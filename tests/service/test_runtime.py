@@ -193,6 +193,43 @@ class TestAdmission:
             SchedulerRuntime(DecOnlineScheduler(dec3), admission=["nope"])
 
 
+class TestFailedSubmitLeavesNoTrace:
+    """Without the fits-ladder policy an oversize job reaches the scheduler,
+    which refuses it; the runtime must then be exactly as before."""
+
+    def test_oversize_submit_changes_nothing(self, dec3):
+        rt = SchedulerRuntime.create("dec", dec3)
+        rt.submit(0.5, 0.0, uid=1)
+        before = (rt.n_events, rt.clock, rt.events, set(rt._used_uids),
+                  rt._next_uid, rt.metrics.counter("arrivals").value)
+        with pytest.raises(ValueError, match="exceeds the largest capacity"):
+            rt.submit(50.0, 1.0, uid=7)
+        after = (rt.n_events, rt.clock, rt.events, set(rt._used_uids),
+                 rt._next_uid, rt.metrics.counter("arrivals").value)
+        assert after == before
+        assert not rt.knows_uid(7)
+
+    def test_retry_is_refused_the_same_way_not_as_duplicate(self, dec3):
+        from repro.service.server import RequestHandler
+
+        handler = RequestHandler(SchedulerRuntime.create("dec", dec3))
+        assert handler.handle_request({"op": "submit", "size": 0.5, "t": 0.0, "uid": 1})["ok"]
+        oversize = {"op": "submit", "size": 50.0, "t": 1.0, "uid": 7}
+        for _attempt in range(2):
+            reply = handler.handle_request(dict(oversize))
+            assert reply["error"]["code"] == "invalid-request"
+        assert handler.handle_request({"op": "submit", "size": 0.5, "t": 2.0, "uid": 2})["ok"]
+        rt = handler.runtime
+        assert [e["uid"] for e in rt.events] == [1, 2]
+        assert rt._used_uids == set(rt._open) | set(rt._closed) | set(rt._rejected)
+
+    def test_failed_auto_uid_submit_keeps_the_uid_free(self, dec3):
+        rt = SchedulerRuntime.create("dec", dec3)
+        with pytest.raises(ValueError):
+            rt.submit(50.0, 0.0)
+        assert rt.submit(0.5, 0.0).uid == 0
+
+
 class TestMetricsSampling:
     def test_counters_and_gauges(self, dec3):
         rt = SchedulerRuntime(DecOnlineScheduler(dec3))

@@ -170,7 +170,7 @@ class TestSnapshotCompact:
         store = backend.make()
         store.append_events(EVENTS[:3], 0)
         with pytest.raises(StorageError, match="outside the store"):
-            store.write_snapshot({"n_events": 7})
+            store.write_snapshot(7, '{"n_events":7}')
 
 
 class TestCrashSemantics:

@@ -242,3 +242,51 @@ class TestHistoryRefusal:
         from repro.service.checkpoint import record_trace
         with pytest.raises(CheckpointError, match="WAL"):
             record_trace(rec.runtime)
+
+
+class TestFailedSubmitRecovery:
+    """A submit the scheduler refuses must never reach the log, and a log
+    record that does not replay is a clean CheckpointError."""
+
+    def _serve(self, handler, wal, requests):
+        for request in requests:
+            reply = handler.handle_request(request)
+            if reply.get("ok"):
+                wal.append_new()
+
+    def test_refused_submit_is_not_logged(self, tmp_path):
+        from repro.service.server import RequestHandler
+
+        rt = SchedulerRuntime.create("dec", dec_ladder(3))  # no fits-ladder
+        wal = WALWriter(tmp_path / "wal", rt)
+        self._serve(RequestHandler(rt), wal, [
+            {"op": "submit", "size": 0.5, "t": 0.0, "uid": 1},
+            {"op": "submit", "size": 50.0, "t": 1.0, "uid": 7},
+            {"op": "submit", "size": 0.5, "t": 2.0, "uid": 2},
+        ])
+        wal.close()
+        rec = recover(tmp_path / "wal")
+        assert rec.n_events == rt.n_events == 2
+        assert assignment_digest(rec.runtime) == assignment_digest(rt)
+        assert not rec.runtime.knows_uid(7)
+
+    def test_unreplayable_record_is_a_checkpoint_error(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.service.checkpoint import _dumps
+        from repro.service.wal import _frame
+
+        rt = SchedulerRuntime.create("dec", dec_ladder(3))
+        wal = WALWriter(tmp_path / "wal", rt)
+        rt.submit(0.5, 0.0, uid=1)
+        wal.append_new()
+        wal.close()
+        # what the log held when a refused submit was still logged
+        bad = {"op": "submit", "t": 1.0, "uid": 7, "size": 50.0, "name": "J7"}
+        (segment,) = sorted((tmp_path / "wal").glob("wal-*.log"))
+        with open(segment, "ab") as fh:
+            fh.write(_frame(_dumps({"i": 1, "e": bad}).encode()))
+        with pytest.raises(CheckpointError, match='"uid":7'):
+            recover(tmp_path / "wal")
+        assert main(["recover", str(tmp_path / "wal")]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and '"uid":7' in err and "Traceback" not in err

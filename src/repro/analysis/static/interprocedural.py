@@ -8,15 +8,15 @@ file's AST:
   kernel reachable, transitively, from a hot-path entry point.  This is
   BSHM003's same-file heuristic upgraded to true reachability: BSHM003
   bans the direct call/import; BSHM008 walks the call graph from the
-  serving entry points (``serve_forever``, ``serve_sharded``,
-  ``run_online``, ``worker_main``, ``SchedulerRuntime.submit/depart/
-  advance``) and flags any oracle the closure can reach through helpers.
+  serving entry points (``serve_forever``, ``run_online``,
+  ``SchedulerRuntime.submit/depart/advance``) and flags any oracle the
+  closure can reach through helpers.
 - :class:`NondeterminismTaint` (BSHM009) — a value produced by an
   unseeded RNG, a wall-clock read, ``id()`` or set iteration flowing
-  into a replay-critical sink (WAL/StoreWriter appends, checkpoint and
-  trace serialization, shard routing), *across function boundaries*: a
-  helper that returns a tainted value taints every call site, to a
-  fixpoint over the call graph.
+  into a replay-critical sink (WAL appends, checkpoint and trace
+  serialization), *across function boundaries*: a helper that returns
+  a tainted value taints every call site, to a fixpoint over the call
+  graph.
 - :class:`DurabilityOrdering` (BSHM011) — a service code path that emits
   a success acknowledgement where the durable append is not ordered
   before it: either an ack reached with no append on any path so far, or
@@ -91,9 +91,7 @@ def check_project(project: Project) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 #: functions that anchor the serving/online hot path, wherever they live
-HOT_ENTRY_NAMES = frozenset(
-    {"serve_forever", "serve_sharded", "run_online", "worker_main"}
-)
+HOT_ENTRY_NAMES = frozenset({"serve_forever", "run_online"})
 #: methods that are hot-path entries on runtime-like classes
 _HOT_ENTRY_METHODS = frozenset({"submit", "depart", "advance"})
 
@@ -182,18 +180,9 @@ _DATETIME_NOW = frozenset({"now", "utcnow", "today"})
 _CLEANSERS = frozenset({"sorted", "len"})
 
 #: replay-critical sink call names: durable appends, checkpoint/trace
-#: serialization, shard routing
+#: serialization
 SINK_NAMES = frozenset(
-    {
-        "append_new",
-        "append_events",
-        "write_checkpoint",
-        "write_trace",
-        "record_trace",
-        "write_snapshot",
-        "shard_for_uid",
-        "shard_for_submit",
-    }
+    {"append_new", "write_checkpoint", "write_trace", "record_trace"}
 )
 
 
@@ -316,8 +305,8 @@ class NondeterminismTaint(ProjectRule):
     the *values*: a helper anywhere in the package that returns
     ``time.time()`` (or an unseeded RNG draw, ``id()``, a set-ordered
     list) taints its call sites, and any tainted argument handed to a
-    WAL/StoreWriter append, checkpoint/trace serializer or shard-routing
-    function is a replay hazard no matter how many modules it crossed.
+    WAL append or a checkpoint/trace serializer is a replay hazard no
+    matter how many modules it crossed.
     """
 
     id = "BSHM009"
@@ -364,8 +353,8 @@ class NondeterminismTaint(ProjectRule):
                     event["col"],
                     f"nondeterministic value flows into replay-critical "
                     f"sink {sink!r} (in {fn['name']}); values reaching the "
-                    "journal/WAL/checkpoint/shard-router must be "
-                    "deterministic functions of the event stream",
+                    "journal/WAL/checkpoint must be deterministic functions "
+                    "of the event stream",
                 )
 
 
@@ -373,14 +362,12 @@ class NondeterminismTaint(ProjectRule):
 # BSHM011 — durability-contract ordering: append before ack
 # ---------------------------------------------------------------------------
 
-#: direct durable-append call names (WALWriter / StoreWriter / StateStore)
-APPEND_NAMES = frozenset({"append_new", "append_events"})
+#: direct durable-append call names (WALWriter)
+APPEND_NAMES = frozenset({"append_new"})
 #: call names that transmit a response to the client
-_ACK_CALL_NAMES = frozenset({"_send", "send_response"})
+_ACK_CALL_NAMES = frozenset({"_send"})
 #: calls whose result is a client-visible response document
-_HANDLER_NAMES = frozenset(
-    {"handle_line", "handle_request", "route", "_dispatch"}
-)
+_HANDLER_NAMES = frozenset({"handle_line", "handle_request"})
 #: an ack whose payload is built from these is an *error* response — the
 #: durability contract only covers success acks
 _ERROR_MARKERS = frozenset(
@@ -550,7 +537,7 @@ class DurabilityOrdering(ProjectRule):
     """Success acks must be ordered after the durable append.
 
     Scope: functions in ``service/`` that perform (or transitively
-    reach) a WAL/StoreWriter append.  Two shapes fire: an ack emitted on
+    reach) a WAL append.  Two shapes fire: an ack emitted on
     a path where *no* append has run yet, and an append that runs
     *after* the ack on the same path.  A conditional append (``if wal is
     not None: append``) counts as satisfying the contract — servers

@@ -3,7 +3,7 @@
 The per-file AST rules (BSHM001-007) see one module at a time, so an
 invariant violation that crosses a module boundary — an oracle called
 transitively from the serving path, an unseeded RNG value flowing into
-the shard router — is invisible to them.  This module parses every
+the write-ahead log — is invisible to them.  This module parses every
 source file into :func:`extract_module_facts`: a plain JSON-serializable
 dict capturing exactly what the interprocedural rules need —
 

@@ -16,12 +16,9 @@ Subcommands::
     bshm serve --ladder-kind dec --m 3 --port 8642
                                   # streaming scheduler service (JSON lines
                                   # over TCP: submit/depart/stats/checkpoint);
-                                  # --workers N shards it across processes,
-                                  # --storage memory|sqlite:PATH / --wal DIR
-                                  # make it durable
-    bshm recover WALDIR|sqlite:PATH
-                                  # rebuild state from a WAL directory or a
-                                  # sqlite event-log store and report it
+                                  # --wal DIR makes it durable
+    bshm recover WALDIR           # rebuild state from a WAL directory and
+                                  # report it
     bshm replay trace.jsonl [--verify] [--checkpoint ckpt.json]
                                   # re-execute a recorded service trace
     bshm lint trace.csv [--ladder ladder.csv]
@@ -42,13 +39,8 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
 
 from .experiments import ALL_EXPERIMENTS, run_experiment
-
-if TYPE_CHECKING:
-    from .machines.ladder import Ladder
-    from .service.runtime import SchedulerRuntime
 
 
 def _input_error(path: str, what: str) -> str | None:
@@ -309,8 +301,6 @@ def _cmd_serve(
     compact_every: int,
     max_inflight: int,
     read_timeout: float | None,
-    workers: int = 1,
-    storage: str | None = None,
 ) -> int:
     import asyncio
 
@@ -325,13 +315,6 @@ def _cmd_serve(
     failed = _fail(
         _input_error(ladder_path, "ladder CSV") if ladder_path else None,
         _output_error(trace_out, "trace output") if trace_out else None,
-        "--wal and --storage are mutually exclusive (--storage is the "
-        "pluggable replacement; use one)" if wal_dir and storage else None,
-        f"--workers must be >= 1, got {workers}" if workers < 1 else None,
-        "--wal is unavailable with --workers > 1; each shard persists its "
-        "own store, use --storage" if workers > 1 and wal_dir else None,
-        "--trace-out is unavailable with --workers > 1 (there is no single "
-        "runtime to trace)" if workers > 1 and trace_out else None,
     )
     if failed:
         return failed
@@ -363,48 +346,7 @@ def _cmd_serve(
     if max_active is not None:
         admission.append(("max-active", max_active))
 
-    if workers > 1:
-        return _cmd_serve_sharded(
-            host, port, scheduler, ladder, admission, workers,
-            storage or "memory", fsync, compact_every, max_inflight,
-            read_timeout,
-        )
-
-    runtime = None
-    store = None
-    if storage:
-        from .service.storage import StorageError, StoreWriter, open_store
-        from .service.storage import restore_from_store
-
-        try:
-            store = open_store(storage)
-        except StorageError as exc:
-            return _fail(f"cannot open storage {storage!r}: {exc}")
-        had_data = (
-            store.n_events() > 0
-            or store.latest_snapshot() is not None
-            or store.config is not None
-        )
-        config = {
-            "scheduler": scheduler,
-            "ladder": [[t.capacity, t.rate] for t in ladder.types],
-            "admission": [
-                list(s) if isinstance(s, tuple) else s for s in admission
-            ],
-        }
-        try:
-            recovered_store = restore_from_store(store, config=config)
-        except CheckpointError as exc:
-            store.close()
-            return _fail(f"cannot recover storage {storage!r}: {exc}")
-        runtime = recovered_store.runtime
-        if had_data:
-            print(
-                f"bshm serve: recovered {recovered_store.describe()} "
-                "(scheduler/ladder flags superseded by the recovered config)",
-                flush=True,
-            )
-    elif wal_dir and Path(wal_dir).is_dir() and (
+    if wal_dir and Path(wal_dir).is_dir() and (
         any(Path(wal_dir).glob("wal-*.log"))
         or any(Path(wal_dir).glob("snapshot-*.json"))
     ):
@@ -418,18 +360,10 @@ def _cmd_serve(
             "(scheduler/ladder flags superseded by the recovered config)",
             flush=True,
         )
-    if runtime is None:
+    else:
         runtime = SchedulerRuntime.create(scheduler, ladder, admission=admission)
     wal = None
-    if store is not None:
-        try:
-            wal = StoreWriter(
-                store, runtime, sync=fsync, compact_every=compact_every
-            )
-        except CheckpointError as exc:
-            store.close()
-            return _fail(f"cannot attach storage {storage!r}: {exc}")
-    elif wal_dir:
+    if wal_dir:
         try:
             wal = WALWriter(
                 wal_dir, runtime, fsync=fsync, compact_every=compact_every
@@ -442,8 +376,6 @@ def _cmd_serve(
 
     def ready(bound_host: str, bound_port: int) -> None:
         durability = f", wal={wal_dir} fsync={fsync}" if wal_dir else ""
-        if store is not None:
-            durability = f", storage={storage} sync={fsync}"
         print(
             f"bshm serve: {live_scheduler} scheduler on "
             f"{live_ladder.regime.value} ladder (m={live_ladder.m})"
@@ -474,124 +406,30 @@ def _cmd_serve(
     return 0
 
 
-def _cmd_serve_sharded(
-    host: str,
-    port: int,
-    scheduler: str,
-    ladder: "Ladder",
-    admission: list[str | tuple[str, int]],
-    workers: int,
-    storage: str,
-    fsync: str,
-    compact_every: int,
-    max_inflight: int,
-    read_timeout: float | None,
-) -> int:
-    """``bshm serve --workers N``: router + N shard worker processes."""
-    import asyncio
-
-    from .service.checkpoint import CheckpointError
-    from .service.shard import ShardError, serve_sharded, start_worker_fleet
-
-    config = {
-        "scheduler": scheduler,
-        "ladder": [[t.capacity, t.rate] for t in ladder.types],
-        "admission": [list(s) if isinstance(s, tuple) else s for s in admission],
-    }
-
-    def worker_ready(shard: int, info: dict) -> None:
-        print(
-            f"bshm serve: worker shard {shard} ready "
-            f"({info['recovered']}, store {info['store']})",
-            flush=True,
-        )
-
-    try:
-        handles = start_worker_fleet(
-            workers, config, storage=storage, sync=fsync,
-            compact_every=compact_every, on_ready=worker_ready,
-        )
-    except (ShardError, CheckpointError, OSError) as exc:
-        return _fail(f"cannot start {workers}-worker fleet: {exc}")
-
-    def ready(bound_host: str, bound_port: int) -> None:
-        print(
-            f"bshm serve: {scheduler} scheduler on {ladder.regime.value} "
-            f"ladder (m={ladder.m}), {workers} worker shards, "
-            f"storage={storage} sync={fsync}, listening on "
-            f"{bound_host}:{bound_port}",
-            flush=True,
-        )
-
-    capacities = [t.capacity for t in ladder.types]
-    summaries: list[dict] = []
-    try:
-        summaries = asyncio.run(serve_sharded(
-            handles, capacities, host, port, max_inflight=max_inflight,
-            read_timeout=read_timeout, on_ready=ready,
-        ))
-    except KeyboardInterrupt:
-        print("interrupted", flush=True)
-    total_events = sum(s["events"] for s in summaries)
-    total_cost = sum(s["cost"] for s in summaries)
-    total_active = sum(s["active"] for s in summaries)
-    print(
-        f"served {total_events} events across {len(summaries)} shard(s); "
-        f"final cost {total_cost:.4f}, {total_active} jobs still active"
-    )
-    return 0
-
-
-def _cmd_recover(target: str) -> int:
+def _cmd_recover(wal_dir: str) -> int:
     from .service.checkpoint import CheckpointError, assignment_digest
     from .service.wal import recover
+
+    if not Path(wal_dir).is_dir():
+        return _fail(
+            f"{wal_dir!r} is not a WAL directory (expected the directory of "
+            "wal-*.log/snapshot-*.json files that bshm serve --wal writes)"
+        )
 
     def note(line: str) -> None:
         print(f"bshm recover: {line}", flush=True)
 
-    path = Path(target.removeprefix("sqlite:"))
-    if target.startswith("sqlite:") or path.is_file():
-        from .service.storage import open_store, restore_from_store
-
-        if not path.is_file():
-            return _fail(f"no storage file at {str(path)!r}")
-        try:
-            store = open_store(f"sqlite:{path}")
-        except CheckpointError as exc:
-            return _fail(f"cannot open storage {str(path)!r}: {exc}")
-        try:
-            recovered = restore_from_store(store, progress=note)
-        except CheckpointError as exc:
-            return _fail(f"cannot recover storage {str(path)!r}: {exc}")
-        finally:
-            store.close()
-    elif path.is_dir():
-        try:
-            recovered_wal = recover(path, progress=note)
-        except CheckpointError as exc:  # WALError + garbled-snapshot errors
-            return _fail(f"cannot recover WAL {target!r}: {exc}")
-        runtime = recovered_wal.runtime
-        print(f"bshm recover: {recovered_wal.describe()}")
-        return _report_recovered(runtime, assignment_digest)
-    else:
-        return _fail(
-            f"{target!r} is neither a WAL directory nor a sqlite storage "
-            "file (expected a directory of wal-*.log/snapshot-*.json, a "
-            "sqlite database path, or a sqlite:PATH spec)"
-        )
+    try:
+        recovered = recover(wal_dir, progress=note)
+    except CheckpointError as exc:  # WALError + garbled-snapshot errors
+        return _fail(f"cannot recover WAL {wal_dir!r}: {exc}")
     runtime = recovered.runtime
     print(f"bshm recover: {recovered.describe()}")
-    return _report_recovered(runtime, assignment_digest)
-
-
-def _report_recovered(
-    runtime: "SchedulerRuntime", digest: "Callable[[SchedulerRuntime], str]"
-) -> int:
     print(
         f"clock {runtime.clock:g}; {runtime.n_active} active job(s); "
         f"cost {runtime.cost():.6f}"
     )
-    print(f"assignment sha256: {digest(runtime)}")
+    print(f"assignment sha256: {assignment_digest(runtime)}")
     return 0
 
 
@@ -877,26 +715,10 @@ def main(argv: list[str] | None = None) -> int:
         "--read-timeout", type=float, default=None,
         help="per-connection idle read timeout in seconds (default: none)",
     )
-    serve_p.add_argument(
-        "--workers", type=int, default=1,
-        help="worker shard processes behind a router (default 1: single loop)",
-    )
-    serve_p.add_argument(
-        "--storage", default=None,
-        help="event-log persistence backend: memory | sqlite:PATH "
-        "(recovers a non-empty store; with --workers N, each shard "
-        "gets its own store)",
-    )
     recover_p = sub.add_parser(
-        "recover",
-        help="rebuild state from a WAL directory or sqlite store and report it",
+        "recover", help="rebuild state from a WAL directory and report it"
     )
-    recover_p.add_argument(
-        "wal_dir",
-        metavar="target",
-        help="WAL directory (bshm serve --wal) or sqlite storage "
-        "file / sqlite:PATH spec (bshm serve --storage)",
-    )
+    recover_p.add_argument("wal_dir", help="WAL directory written by bshm serve --wal")
     replay_p = sub.add_parser("replay", help="re-execute a recorded service trace")
     replay_p.add_argument("trace", help="trace JSONL recorded by the service")
     replay_p.add_argument("--checkpoint", dest="checkpoint_out", help="write a checkpoint JSON here")
@@ -993,7 +815,6 @@ def main(argv: list[str] | None = None) -> int:
             args.ladder_kind, args.m, args.max_active, args.trace_out,
             args.wal_dir, args.fsync, args.compact_every,
             args.max_inflight, args.read_timeout,
-            args.workers, args.storage,
         )
     if args.command == "recover":
         return _cmd_recover(args.wal_dir)

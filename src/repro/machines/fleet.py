@@ -141,9 +141,8 @@ class IndexedPool:
         self.machines.append(machine)
         if self._tree is not None:
             self._tree.append(INFINITE_LOAD)
-        # empty until the caller admits; the entry goes stale at that point
-        # and is lazily discarded (it must exist in case the admit fails)
-        self._free.push(slot)
+        # not on the free-slot heap: the caller admits a job at once, or
+        # pushes the slot itself if it stays empty
         return machine
 
     # -- the placement engine ----------------------------------------------
@@ -184,9 +183,14 @@ class IndexedPool:
             if not may_open:
                 return None
             # fresh machine; admit raises (like the scan did) in the corner
-            # case of an admissible size that exceeds the raw capacity
+            # case of an admissible size that exceeds the raw capacity, and
+            # the machine it opened stays empty and so goes on the heap
             machine = self._open_machine()
-            machine.admit(uid, size)
+            try:
+                machine.admit(uid, size)
+            except ValueError:
+                self._free.push(machine._slot)
+                raise
             return machine
 
         machine = self.machines[best]
@@ -230,10 +234,11 @@ class IndexedPool:
                 for uid, size in resident:
                     machine.resident[int(uid)] = float(size)
                 machine.load = float(state["load"])
-                slot = machine._slot
                 if self._tree is not None:
-                    self._tree.set(slot, machine.load)
+                    self._tree.set(machine._slot, machine.load)
                 self._busy += 1
+            else:
+                self._free.push(machine._slot)
 
     def first_fit_reference(self, uid: int, size: float) -> OnlineMachine | None:
         """The pre-index O(machines) linear scan, kept as the differential

@@ -6,8 +6,8 @@ Every failed request is answered with::
 
 ``code`` is a stable machine-readable identifier (the taxonomy below),
 ``retryable`` tells a well-behaved client whether re-sending the *same*
-request can succeed later (overload, transient storage pressure) or is
-pointless (malformed input, contract violations).  ``retry_after_ms`` is
+request can succeed later (overload, a draining server) or is pointless
+(malformed input, contract violations).  ``retry_after_ms`` is
 attached to shed responses as a backoff hint.
 
 Codes:
@@ -30,9 +30,6 @@ code              retryable  meaning
                              event; the server drains (fail-stop)
 ``draining``      yes        server is shutting down gracefully; retry
                              against a restarted instance
-``shard-failed``  no         a worker shard died with this request pending
-                             or routed to it; the router drains (fail-stop)
-                             and the shard's store decides what was durable
 ================  =========  =============================================
 
 The full semantics are documented in ``docs/operations.md``.
@@ -54,7 +51,6 @@ ERROR_CODES: dict[str, bool] = {
     "idle-timeout": False,
     "storage-error": False,
     "draining": True,
-    "shard-failed": False,
 }
 
 

@@ -51,22 +51,15 @@ import contextlib
 import json
 import math
 import signal
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .checkpoint import snapshot, write_checkpoint
 from .errors import OverloadError, ServiceError
 from .faults import FaultInjector, InjectedFault
 from .runtime import AdmissionError, SchedulerRuntime
-from .storage.base import StorageError
-from .storage.writer import StoreWriter
 from .wal import WALError, WALWriter
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .metrics import MetricsRegistry
-
 __all__ = [
-    "JsonLineServer",
-    "RequestHandler",
     "SchedulerServer",
     "parse_line",
     "serve_forever",
@@ -76,10 +69,6 @@ __all__ = [
 DEFAULT_MAX_LINE_BYTES = 1 << 16
 DEFAULT_MAX_INFLIGHT = 64
 
-#: failures the durable layer raises when it can no longer persist —
-#: the server fail-stops identically whichever backend is attached
-PERSISTENCE_ERRORS = (WALError, StorageError)
-
 #: reply lines: sorted keys with the default ``", "``/``": "`` spacing,
 #: from one prebuilt encoder rather than a new one per ``json.dumps``
 _encode_reply = json.JSONEncoder(sort_keys=True).encode
@@ -88,9 +77,7 @@ _encode_reply = json.JSONEncoder(sort_keys=True).encode
 def parse_line(line: str) -> "tuple[dict | None, dict | None]":
     """Parse one request line into ``(request, None)`` or ``(None, error)``.
 
-    The error half is a complete failed-response document, so callers
-    (the single-loop handler and the shard router alike) reject malformed
-    lines with byte-identical responses.
+    The error half is a complete failed-response document.
     """
     if not line.strip():
         return None, ServiceError("bad-request", "empty request").to_wire()
@@ -107,18 +94,94 @@ def parse_line(line: str) -> "tuple[dict | None, dict | None]":
     return request, None
 
 
-class RequestHandler:
-    """The scheduler ops behind the wire protocol, transport-free.
+class SchedulerServer:
+    """One runtime exposed over newline-delimited JSON on TCP.
 
-    One request dict in, one response dict out, never raising — this is
-    the part of :class:`SchedulerServer` a shard worker process reuses, so
-    a sharded service answers every op byte-identically to the single-loop
-    server by construction.
+    :meth:`handle_line` and :meth:`handle_request` are the scheduler ops,
+    one request in and one response dict out, never raising; they need
+    no socket, so tests drive them directly.  The rest is the transport:
+    connection lifecycle, read timeouts, line limits, the in-flight
+    overload guard, the append-before-ack WAL step and graceful drain.
     """
 
-    def __init__(self, runtime: SchedulerRuntime) -> None:
+    def __init__(
+        self,
+        runtime: SchedulerRuntime,
+        *,
+        wal: WALWriter | None = None,
+        faults: FaultInjector | None = None,
+        max_inflight: int = DEFAULT_MAX_INFLIGHT,
+        read_timeout: float | None = None,
+        max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
+    ) -> None:
+        if max_inflight < 1:
+            raise ValueError("max_inflight must be >= 1")
         self.runtime = runtime
+        self.wal = wal
+        self._faults = faults
+        self._max_inflight = max_inflight
+        self._read_timeout = read_timeout
+        self._max_line_bytes = max_line_bytes
+        self._server: asyncio.AbstractServer | None = None
+        self._shutdown = asyncio.Event()
+        self._draining = False
+        self._drained = False
+        self._inflight = 0
+        self._idle = asyncio.Event()
+        self._idle.set()
+        self._conn_tasks: set[asyncio.Task] = set()
+        runtime.metrics.counter("shed_requests")  # visible at zero in stats
 
+    # -- lifecycle ----------------------------------------------------------
+    async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
+        """Bind and start serving; returns the actual ``(host, port)``."""
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=self._max_line_bytes
+        )
+        sock_host, sock_port = self._server.sockets[0].getsockname()[:2]
+        return sock_host, sock_port
+
+    def request_shutdown(self) -> None:
+        """Signal-safe trigger for a graceful drain (SIGTERM/SIGINT hook)."""
+        self._shutdown.set()
+
+    async def wait_shutdown(self) -> None:
+        """Block until shutdown is requested, then drain gracefully."""
+        await self._shutdown.wait()
+        await self.drain()
+
+    async def drain(self) -> None:
+        """Graceful shutdown: stop accepting, finish in-flight requests,
+        fsync the WAL and write a final snapshot, drop connections."""
+        if self._drained:
+            return
+        self._drained = True
+        self._draining = True
+        self._shutdown.set()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        await self._idle.wait()  # every accepted request has been answered
+        if self.wal is not None:
+            try:
+                self.wal.sync()
+                self.wal.compact()
+                self.wal.close()
+            except WALError:
+                # fail-stop path: durability already failed once; shutdown
+                # must still complete so the process can be restarted.
+                self.wal.abandon()
+        for task in list(self._conn_tasks):
+            task.cancel()
+        if self._conn_tasks:
+            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+
+    async def close(self) -> None:
+        """Alias kept for tests/tools: drain and release the listener."""
+        await self.drain()
+
+    # -- requests -----------------------------------------------------------
     def handle_line(self, line: str) -> dict:
         """Process one request line synchronously (also used by tests).
 
@@ -212,93 +275,7 @@ class RequestHandler:
     def _op_shutdown(self, request: dict) -> dict:
         return {"ok": True, "bye": True}
 
-
-class JsonLineServer:
-    """The transport half of the service: newline-delimited JSON over TCP.
-
-    Owns everything protocol-agnostic — connection lifecycle, read
-    timeouts, line limits, the in-flight overload guard, graceful drain —
-    and leaves two hooks to subclasses: :meth:`_dispatch` (one request
-    line to one response dict) and :meth:`_drain_persistence` (make state
-    durable during drain).  :class:`SchedulerServer` plugs a runtime + WAL
-    into those hooks; :class:`repro.service.shard.ShardRouter` plugs in a
-    worker fleet — both get identical wire behaviour for free.
-    """
-
-    def __init__(
-        self,
-        *,
-        metrics: "MetricsRegistry",
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        read_timeout: float | None = None,
-        max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-    ) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
-        self._transport_metrics = metrics
-        self._max_inflight = max_inflight
-        self._read_timeout = read_timeout
-        self._max_line_bytes = max_line_bytes
-        self._server: asyncio.AbstractServer | None = None
-        self._shutdown = asyncio.Event()
-        self._draining = False
-        self._drained = False
-        self._inflight = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
-        self._conn_tasks: set[asyncio.Task] = set()
-        metrics.counter("shed_requests")  # visible at zero in stats
-
-    # -- subclass hooks -----------------------------------------------------
-    async def _dispatch(self, line: str) -> dict:
-        """Turn one request line into one response dict (never raises)."""
-        raise NotImplementedError
-
-    async def _drain_persistence(self) -> None:
-        """Make state durable while draining (after in-flight settles)."""
-
-    # -- lifecycle ----------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Bind and start serving; returns the actual ``(host, port)``."""
-        self._server = await asyncio.start_server(
-            self._handle, host, port, limit=self._max_line_bytes
-        )
-        sock_host, sock_port = self._server.sockets[0].getsockname()[:2]
-        return sock_host, sock_port
-
-    def request_shutdown(self) -> None:
-        """Signal-safe trigger for a graceful drain (SIGTERM/SIGINT hook)."""
-        self._shutdown.set()
-
-    async def wait_shutdown(self) -> None:
-        """Block until shutdown is requested, then drain gracefully."""
-        await self._shutdown.wait()
-        await self.drain()
-
-    async def drain(self) -> None:
-        """Graceful shutdown: stop accepting, finish in-flight requests,
-        make state durable, drop connections."""
-        if self._drained:
-            return
-        self._drained = True
-        self._draining = True
-        self._shutdown.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        await self._idle.wait()  # every accepted request has been answered
-        await self._drain_persistence()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-
-    async def close(self) -> None:
-        """Alias kept for tests/tools: drain and release the listener."""
-        await self.drain()
-
-    # -- request handling ---------------------------------------------------
+    # -- connections --------------------------------------------------------
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -364,13 +341,14 @@ class JsonLineServer:
         await writer.drain()
 
     async def _respond(self, line: str) -> dict:
-        """Drain + overload guards around the subclass dispatch hook."""
+        """Drain and overload guards, fault hook, handler and WAL append,
+        in ack order."""
         if self._draining:
             return ServiceError(
                 "draining", "server is shutting down; retry elsewhere"
             ).to_wire()
         if self._inflight >= self._max_inflight:
-            self._transport_metrics.counter("shed_requests").inc()
+            self.runtime.metrics.counter("shed_requests").inc()
             return OverloadError(
                 f"{self._inflight} requests in flight (limit "
                 f"{self._max_inflight}); retry later"
@@ -378,69 +356,33 @@ class JsonLineServer:
         self._inflight += 1
         self._idle.clear()
         try:
-            return await self._dispatch(line)
+            if self._faults is not None:
+                await self._faults.apoint("server.request")
+            response = self.handle_line(line)
+            if self.wal is not None and response.get("ok"):
+                try:
+                    self.wal.append_new()
+                except WALError as exc:
+                    # the event is applied in memory but not durable: tell
+                    # the client it failed and fail-stop the service.
+                    asyncio.get_running_loop().call_soon(self._shutdown.set)
+                    self._draining = True
+                    return ServiceError(
+                        "storage-error", f"write-ahead log failed: {exc}"
+                    ).to_wire()
+            return response
         finally:
             self._inflight -= 1
             if self._inflight == 0:
                 self._idle.set()
 
 
-class SchedulerServer(RequestHandler, JsonLineServer):
-    """One runtime exposed over newline-delimited JSON on TCP."""
+#: the name perfbench's request-span wrap still targets
+JsonLineServer = SchedulerServer
 
-    def __init__(
-        self,
-        runtime: SchedulerRuntime,
-        *,
-        wal: "WALWriter | StoreWriter | None" = None,
-        faults: FaultInjector | None = None,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        read_timeout: float | None = None,
-        max_line_bytes: int = DEFAULT_MAX_LINE_BYTES,
-    ) -> None:
-        RequestHandler.__init__(self, runtime)
-        JsonLineServer.__init__(
-            self,
-            metrics=runtime.metrics,
-            max_inflight=max_inflight,
-            read_timeout=read_timeout,
-            max_line_bytes=max_line_bytes,
-        )
-        self.wal = wal
-        self._faults = faults
-
-    async def _drain_persistence(self) -> None:
-        """Make the WAL/store durable: fsync + final snapshot + close."""
-        if self.wal is not None:
-            try:
-                self.wal.sync()
-                self.wal.compact()
-                self.wal.close()
-            except PERSISTENCE_ERRORS:
-                # fail-stop path: durability already failed once; shutdown
-                # must still complete so the process can be restarted.
-                self.wal.abandon()
-
-    async def _dispatch(self, line: str) -> dict:
-        """Fault hook + handler + WAL append, in ack order."""
-        if self._faults is not None:
-            await self._faults.apoint("server.request")
-        response = self.handle_line(line)
-        if self.wal is not None and response.get("ok"):
-            try:
-                self.wal.append_new()
-            except PERSISTENCE_ERRORS as exc:
-                # the event is applied in memory but not durable: tell
-                # the client it failed and fail-stop the service.
-                asyncio.get_running_loop().call_soon(self._shutdown.set)
-                self._draining = True
-                return ServiceError(
-                    "storage-error", f"write-ahead log failed: {exc}"
-                ).to_wire()
-        return response
 
 def _install_signal_handlers(
-    loop: asyncio.AbstractEventLoop, server: JsonLineServer
+    loop: asyncio.AbstractEventLoop, server: SchedulerServer
 ) -> list[signal.Signals]:
     installed: list[signal.Signals] = []
     for sig in (signal.SIGTERM, signal.SIGINT):
@@ -457,7 +399,7 @@ async def serve_forever(
     host: str = "127.0.0.1",
     port: int = 0,
     *,
-    wal: "WALWriter | StoreWriter | None" = None,
+    wal: WALWriter | None = None,
     faults: FaultInjector | None = None,
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
     read_timeout: float | None = None,

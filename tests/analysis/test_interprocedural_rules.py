@@ -159,21 +159,22 @@ class TestNondeterminismTaint:
         assert ids(findings) == ["BSHM009"]
         assert "append_new" in findings[0].message
 
-    def test_unseeded_rng_into_shard_router_fires(self):
+    def test_unseeded_rng_to_trace_fires(self):
         findings = check_project(
             project_of(
                 {
-                    "src/repro/fake/router.py": """
+                    "src/repro/fake/recorder.py": """
                     import numpy as np
 
-                    def route(shards, req):
+                    def record(runtime, path):
                         salt = np.random.default_rng().integers(10)
-                        return shard_for_uid(salt)
+                        write_trace(runtime, f"{path}.{salt}")
                     """
                 }
             )
         )
         assert ids(findings) == ["BSHM009"]
+        assert "write_trace" in findings[0].message
 
     def test_set_iteration_taint_fires(self):
         findings = check_project(
@@ -182,7 +183,7 @@ class TestNondeterminismTaint:
                     "src/repro/fake/mod.py": """
                     def drain(wal, pending):
                         for uid in {1, 2, 3}:
-                            wal.append_events(uid)
+                            wal.append_new(uid)
                     """
                 }
             )
@@ -279,7 +280,7 @@ class TestDurabilityOrdering:
         assert ids(findings) == ["BSHM011"]
 
     def test_conditional_append_then_ack_is_clean(self):
-        # the real _dispatch shape: servers without a WAL attached have no
+        # the real _respond shape: servers without a WAL attached have no
         # ordering obligation, so `if wal is not None: append` satisfies it
         findings = check_project(
             project_of(

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import SchedulerRuntime, dec_ladder
 from repro.machines.fleet import FleetState, IndexedPool
 from repro.machines.machine import OnlineMachine
 from repro.schedule.schedule import MachineKey
+from repro.service.state import capture_state, restore_state
 
 
 class TestOnlineMachine:
@@ -117,6 +119,29 @@ class TestPlacementStats:
         assert pool.busy_count() == 2
         # the freed machine is found again via the free-slot heap
         assert pool.first_fit(7, 1.0) is machines[1]
+
+
+class TestFreeSlotHeap:
+    """The free-slot heap holds exactly the empty slots, so a restored pool
+    probes like the live one it was captured from."""
+
+    def test_failed_admit_leaves_the_fresh_machine_reusable(self):
+        pool = IndexedPool("A", 1, capacity=1.0, size_limit=2.0, budget=None)
+        with pytest.raises(ValueError):
+            pool.first_fit(1, 1.5)  # admissible, but over the raw capacity
+        assert pool.first_fit(2, 0.5) is pool.machines[0]
+
+    def test_restored_runtime_counts_probes_like_the_live_one(self):
+        # first-fit on dec(3): eight full machines, restore, one more submit
+        ladder = dec_ladder(3)
+        live = SchedulerRuntime.create("first-fit", ladder)
+        for _ in range(8):
+            live.submit(ladder.capacity(1), 0.0)
+        restored = restore_state(capture_state(live))
+        for rt in (live, restored):
+            rt.submit(ladder.capacity(1), 0.0)
+        stats = [capture_state(rt)["placement_stats"] for rt in (live, restored)]
+        assert stats[0] == stats[1] == {"decisions": 9, "probes": 9}
 
 
 class TestFleetState:

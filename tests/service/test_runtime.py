@@ -210,16 +210,16 @@ class TestFailedSubmitLeavesNoTrace:
         assert not rt.knows_uid(7)
 
     def test_retry_is_refused_the_same_way_not_as_duplicate(self, dec3):
-        from repro.service.server import RequestHandler
+        from repro.service.server import SchedulerServer
 
-        handler = RequestHandler(SchedulerRuntime.create("dec", dec3))
-        assert handler.handle_request({"op": "submit", "size": 0.5, "t": 0.0, "uid": 1})["ok"]
+        server = SchedulerServer(SchedulerRuntime.create("dec", dec3))
+        assert server.handle_request({"op": "submit", "size": 0.5, "t": 0.0, "uid": 1})["ok"]
         oversize = {"op": "submit", "size": 50.0, "t": 1.0, "uid": 7}
         for _attempt in range(2):
-            reply = handler.handle_request(dict(oversize))
+            reply = server.handle_request(dict(oversize))
             assert reply["error"]["code"] == "invalid-request"
-        assert handler.handle_request({"op": "submit", "size": 0.5, "t": 2.0, "uid": 2})["ok"]
-        rt = handler.runtime
+        assert server.handle_request({"op": "submit", "size": 0.5, "t": 2.0, "uid": 2})["ok"]
+        rt = server.runtime
         assert [e["uid"] for e in rt.events] == [1, 2]
         assert rt._used_uids == set(rt._open) | set(rt._closed) | set(rt._rejected)
 

@@ -14,7 +14,12 @@ import pytest
 
 from repro import SchedulerRuntime, dec_ladder, uniform_workload
 from repro.core.events import EventKind, event_stream
-from repro.service.checkpoint import CheckpointError, assignment_digest
+from repro.service.checkpoint import (
+    CheckpointError,
+    assignment_digest,
+    replay_trace,
+    write_trace,
+)
 from repro.service.metrics import MetricsRegistry
 from repro.service.server import SchedulerServer
 from repro.service.wal import WALError, WALWriter, recover
@@ -85,6 +90,13 @@ class TestAppendRecover:
         # every surviving segment starts at or after the snapshot
         for seg in wal_dir.glob("wal-*.log"):
             assert int(seg.name[4:-4]) >= rec.snapshot_n
+        # the snapshot + delta restore, a full replay of the live runtime's
+        # trace and the live runtime itself hold one assignment
+        trace = tmp_path / "run.jsonl"
+        write_trace(rt, trace)
+        digest = assignment_digest(rt)
+        assert assignment_digest(replay_trace(trace)) == digest
+        assert assignment_digest(rec.runtime) == digest
 
     def test_recovered_runtime_continues_identically(self, jobs, tmp_path):
         rt = make_runtime()
@@ -248,18 +260,16 @@ class TestFailedSubmitRecovery:
     """A submit the scheduler refuses must never reach the log, and a log
     record that does not replay is a clean CheckpointError."""
 
-    def _serve(self, handler, wal, requests):
+    def _serve(self, server, wal, requests):
         for request in requests:
-            reply = handler.handle_request(request)
+            reply = server.handle_request(request)
             if reply.get("ok"):
                 wal.append_new()
 
     def test_refused_submit_is_not_logged(self, tmp_path):
-        from repro.service.server import RequestHandler
-
         rt = SchedulerRuntime.create("dec", dec_ladder(3))  # no fits-ladder
         wal = WALWriter(tmp_path / "wal", rt)
-        self._serve(RequestHandler(rt), wal, [
+        self._serve(SchedulerServer(rt), wal, [
             {"op": "submit", "size": 0.5, "t": 0.0, "uid": 1},
             {"op": "submit", "size": 50.0, "t": 1.0, "uid": 7},
             {"op": "submit", "size": 0.5, "t": 2.0, "uid": 2},

@@ -287,9 +287,8 @@ class TestCliCheck:
 
 
 class TestCliRecover:
-    """``bshm recover`` over every storage layout: WAL dirs, sqlite stores,
-    and the garbled variants that must exit 2 with a message, never a
-    traceback."""
+    """``bshm recover`` over a WAL directory, and the garbled or foreign
+    targets that must exit 2 with a message, never a traceback."""
 
     @pytest.fixture
     def wal_dir(self, tmp_path):
@@ -311,45 +310,16 @@ class TestCliRecover:
         wal.close()
         return tmp_path / "wal"
 
-    @pytest.fixture
-    def sqlite_store(self, tmp_path):
-        from repro import SchedulerRuntime
-        from repro.core.events import EventKind, event_stream
-        from repro.service.storage import StoreWriter, open_store
-
-        rng = np.random.default_rng(4)
-        ladder = dec_ladder(3)
-        jobs = uniform_workload(15, rng, max_size=ladder.capacity(3))
-        rt = SchedulerRuntime.create("dec", ladder, admission=["fits-ladder"])
-        store = open_store(f"sqlite:{tmp_path / 'events.db'}")
-        writer = StoreWriter(store, rt, sync="always", compact_every=10)
-        for ev in event_stream(jobs):
-            if ev.kind is EventKind.ARRIVE:
-                rt.submit(ev.job.size, ev.job.arrival, uid=ev.job.uid)
-            else:
-                rt.depart(ev.job.uid, ev.job.departure)
-            writer.append_new()
-        writer.close()
-        return tmp_path / "events.db"
-
     def test_recover_wal_dir_with_progress(self, wal_dir, capsys):
         assert main(["recover", str(wal_dir)]) == 0
         out = capsys.readouterr().out
         assert "bshm recover: segment wal-" in out  # per-segment progress
         assert "assignment sha256:" in out
 
-    def test_recover_sqlite_by_path_and_spec(self, sqlite_store, capsys):
-        assert main(["recover", str(sqlite_store)]) == 0
-        by_path = capsys.readouterr().out
-        assert "snapshot@" in by_path and "assignment sha256:" in by_path
-        assert main(["recover", f"sqlite:{sqlite_store}"]) == 0
-        by_spec = capsys.readouterr().out
-        assert by_spec == by_path  # both spellings recover identically
-
     def test_recover_unknown_path_exits_2(self, tmp_path, capsys):
         assert main(["recover", str(tmp_path / "missing")]) == 2
         err = capsys.readouterr().err
-        assert "error:" in err and "neither a WAL directory" in err
+        assert "error:" in err and "is not a WAL directory" in err
 
     def test_recover_garbled_dir_exits_2(self, tmp_path, capsys):
         (tmp_path / "stuff.txt").write_text("not a wal")
@@ -371,33 +341,21 @@ class TestCliRecover:
     def test_recover_foreign_sqlite_file_exits_2(self, tmp_path, capsys):
         junk = tmp_path / "junk.db"
         junk.write_text("not a database")
-        assert main(["recover", str(junk)]) == 2
-        assert "error:" in capsys.readouterr().err
+        for target in (str(junk), f"sqlite:{junk}"):
+            assert main(["recover", target]) == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and "is not a WAL directory" in err
 
 
 class TestCliServeFlags:
-    """Flag validation for the sharded/durable serve front (no sockets)."""
+    """Flag validation for the durable serve front (no sockets)."""
 
-    def test_wal_and_storage_are_mutually_exclusive(self, capsys):
-        assert main(["serve", "--wal", "/tmp/w", "--storage", "memory"]) == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_wal_with_workers_rejected(self, capsys):
-        assert main(["serve", "--wal", "/tmp/w", "--workers", "2"]) == 2
-        assert "unavailable with --workers" in capsys.readouterr().err
-
-    def test_trace_out_with_workers_rejected(self, tmp_path, capsys):
-        assert (
-            main(
-                ["serve", "--workers", "2", "--trace-out", str(tmp_path / "t")]
-            )
-            == 2
-        )
-        assert "--trace-out is unavailable" in capsys.readouterr().err
-
-    def test_workers_must_be_positive(self, capsys):
-        assert main(["serve", "--workers", "0"]) == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--storage", "memory"]])
+    def test_removed_scale_out_flags_are_unknown(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_recovery_of_garbled_wal_exits_2(self, tmp_path, capsys):
         # regression: the serve-side recovery path leaked CheckpointError too
@@ -408,9 +366,3 @@ class TestCliServeFlags:
         )
         assert main(["serve", "--wal", str(wal)]) == 2
         assert "error: cannot recover WAL" in capsys.readouterr().err
-
-    def test_serve_garbled_storage_exits_2(self, tmp_path, capsys):
-        junk = tmp_path / "junk.db"
-        junk.write_text("not a database")
-        assert main(["serve", "--storage", f"sqlite:{junk}"]) == 2
-        assert "error: cannot open storage" in capsys.readouterr().err

@@ -2,7 +2,8 @@
 
 Not tied to one experiment; tracks regression-sensitive kernels:
 demand-profile construction (sum of pulses), the batched optimal-configuration
-search, interval-tree queries, the event sweep and feasibility validation.
+search, interval-tree queries, the vectorized busy-union, peak-load and
+grouped busy-time kernels, and feasibility validation.
 """
 
 import numpy as np
@@ -13,10 +14,10 @@ from repro import (
     elementary_segments,
     solve_configs,
     sum_pulses,
-    sweep_busy_union,
-    sweep_grouped_busy_time,
-    sweep_peak_load,
     validate_schedule,
+    vec_busy_union,
+    vec_grouped_busy_time,
+    vec_peak_load,
 )
 from repro.core.interval_tree import StaticIntervalTree
 
@@ -29,26 +30,26 @@ def test_kernel_sum_pulses_10k(benchmark, bench_rng):
     assert profile.max() > 0
 
 
-def test_kernel_sweep_busy_union_10k(benchmark, bench_rng):
+def test_kernel_busy_union_10k(benchmark, bench_rng):
     starts = bench_rng.uniform(0, 1000, size=10_000)
     ends = starts + bench_rng.uniform(0.5, 20, size=10_000)
-    union = benchmark(sweep_busy_union, starts, ends)
+    union = benchmark(vec_busy_union, starts, ends)
     assert union.length > 0
 
 
-def test_kernel_sweep_peak_load_10k(benchmark, bench_rng):
+def test_kernel_peak_load_10k(benchmark, bench_rng):
     starts = bench_rng.uniform(0, 1000, size=10_000)
     ends = starts + bench_rng.uniform(0.5, 20, size=10_000)
     sizes = bench_rng.uniform(0.05, 1.0, size=10_000)
-    peak = benchmark(sweep_peak_load, starts, ends, sizes)
+    peak = benchmark(vec_peak_load, starts, ends, sizes)
     assert peak > 0
 
 
-def test_kernel_sweep_grouped_busy_time_10k(benchmark, bench_rng):
+def test_kernel_grouped_busy_time_10k(benchmark, bench_rng):
     starts = bench_rng.uniform(0, 1000, size=10_000)
     ends = starts + bench_rng.uniform(0.5, 20, size=10_000)
     groups = bench_rng.integers(0, 500, size=10_000)
-    busy = benchmark(sweep_grouped_busy_time, starts, ends, groups, 500)
+    busy = benchmark(vec_grouped_busy_time, starts, ends, groups, 500)
     assert busy.sum() > 0
 
 

@@ -1,7 +1,7 @@
 """Indexed placement engine vs the ``first_fit_reference`` scan: the
 per-decision perf guardrail.
 
-Two entry points, following ``bench_sweep.py``:
+Two entry points:
 
 - ``python benchmarks/bench_placement.py`` — replays a 50k-job workload on a
   deep 6-type DEC ladder (thousands of concurrently busy machines) through

@@ -26,30 +26,17 @@ from .core.sweep import (
     busy_union_reference,
     demand_profile_reference,
     grouped_busy_time_reference,
-    merged_events,
     nested_demand_reference,
     peak_load_reference,
-    sweep_busy_time,
-    sweep_busy_union,
-    sweep_demand_profile,
-    sweep_grouped_busy_time,
     sweep_nested_demand,
-    sweep_peak_load,
 )
 from .core.vectorized import (
-    DEFAULT_VEC_THRESHOLD,
-    dispatch_threshold,
-    use_vectorized,
-    vec_busy_cost,
-    vec_busy_time,
     vec_busy_union,
     vec_demand_profile,
-    vec_demand_steps,
     vec_event_steps,
     vec_grouped_busy_time,
     vec_nested_demand,
     vec_peak_load,
-    vec_threshold,
 )
 from .jobs.job import Job
 from .jobs.jobset import JobArrays, JobSet
@@ -164,28 +151,15 @@ __all__ = [
     "busy_union_reference",
     "demand_profile_reference",
     "grouped_busy_time_reference",
-    "merged_events",
     "nested_demand_reference",
     "peak_load_reference",
-    "sweep_busy_time",
-    "sweep_busy_union",
-    "sweep_demand_profile",
-    "sweep_grouped_busy_time",
     "sweep_nested_demand",
-    "sweep_peak_load",
-    "DEFAULT_VEC_THRESHOLD",
-    "dispatch_threshold",
-    "use_vectorized",
-    "vec_busy_cost",
-    "vec_busy_time",
     "vec_busy_union",
     "vec_demand_profile",
-    "vec_demand_steps",
     "vec_event_steps",
     "vec_grouped_busy_time",
     "vec_nested_demand",
     "vec_peak_load",
-    "vec_threshold",
     "Event",
     "EventKind",
     "event_stream",

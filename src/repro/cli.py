@@ -494,7 +494,7 @@ def _cmd_replay(
                 schedule.jobs,
                 make_scheduler(runtime.config["scheduler"], runtime.ladder),
             )
-            # compare Schedule.cost() on both sides: same sweep kernel, so
+            # compare Schedule.cost() on both sides: same grouped kernel, so
             # the streamed run must match the batch replay bit-for-bit
             if batch.cost() != schedule.cost():
                 print(

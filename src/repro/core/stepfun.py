@@ -240,12 +240,16 @@ def sum_pulses(pulses: Sequence[tuple[float, float, float]]) -> StepFunction:
 
     This is the workhorse for demand profiles: one vectorized merged event
     queue (O(n log n)) instead of n pairwise additions.  See
-    :func:`repro.core.sweep.sweep_demand_profile` for the kernel and
+    :func:`repro.core.vectorized.vec_demand_profile` for the kernel and
     :func:`sum_pulses_reference` for the retired pure-Python version.
     """
-    from .sweep import sweep_demand_profile  # deferred: sweep imports stepfun
+    # deferred: vectorized imports stepfun
+    from .vectorized import vec_demand_profile
 
-    return sweep_demand_profile(pulses)
+    if not pulses:
+        return StepFunction.zero()
+    arr = np.asarray(pulses, dtype=float)
+    return vec_demand_profile(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
 def sum_pulses_reference(pulses: Sequence[tuple[float, float, float]]) -> StepFunction:

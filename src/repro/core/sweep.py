@@ -1,35 +1,24 @@
-"""Event-driven sweep-line kernels: the vectorized core of BSHM accounting.
+"""Naive ``*_reference`` oracles, the lower bound's list-input sweep, and the
+per-machine busy-interval cache.
 
-Everything time-varying in this codebase — demand profiles, busy-interval
-unions, capacity checks, busy-cost integrals, the nested per-type demands of
-the Eq.-(1) lower bound — changes only at job arrivals and departures.  This
-module turns those computations into *merged event queues* processed with
-numpy in ``O((n + k) log n)`` (``n`` jobs, ``k`` distinct event times),
-replacing the per-time-point scans the rest of the code used to do.
-
-Every kernel has a ``*_reference`` twin: the naive per-time-point
+The production batch kernels live in :mod:`repro.core.vectorized`.  Every
+one of them has a ``*_reference`` twin here: the naive per-time-point
 implementation it replaced.  References are kept deliberately simple (plain
 Python loops over candidate times) and serve as the differential-test oracle
-in ``tests/property/test_sweep_oracle.py`` — the refined ratio assertions of
+in ``tests/property/test_vectorized_oracle.py`` and
+``tests/property/test_sweep_oracle.py`` — the refined ratio assertions of
 Liu & Tang (arXiv:2105.06287) are only trustworthy if the fast cost
 accounting is provably identical to the naive one.
 
-Kernels
--------
-- :func:`merged_events` — the shared primitive: sorted unique event times
-  plus per-segment accumulated weight (coverage).
-- :func:`sweep_demand_profile` / :func:`demand_profile_reference`
-- :func:`sweep_busy_union` / :func:`busy_union_reference`
-- :func:`sweep_busy_time` — union measure without building interval objects
-- :func:`sweep_peak_load` / :func:`peak_load_reference` — capacity checks
-  with half-open semantics (a departure at ``t`` never overlaps an arrival
-  at ``t``) and an optional ``time_tol`` that ignores zero-measure phantom
-  overlaps produced by float arithmetic.
-- :func:`sweep_grouped_busy_time` — per-machine busy times in one global
-  sweep (the busy-cost integrator behind ``Schedule.cost``).
-- :func:`sweep_nested_demand` / :func:`nested_demand_reference` — the
-  ``m x k`` demand matrix ``s(J_{>=i}, t)`` for the lower bound, built from
-  one shared event queue instead of ``m`` separate profile constructions.
+Contents
+--------
+- :func:`demand_profile_reference`, :func:`busy_union_reference`,
+  :func:`busy_time_reference`, :func:`peak_load_reference`,
+  :func:`grouped_busy_time_reference`, :func:`nested_demand_reference` —
+  the oracles (BSHM003 keeps them out of production paths).
+- :func:`sweep_nested_demand` — the ``m x k`` demand matrix
+  ``s(J_{>=i}, t)`` from ``Job`` objects; the lower bound itself runs
+  :func:`repro.core.vectorized.vec_nested_demand`.
 - :class:`BusyIntervalCache` — memoized per-machine busy intervals,
   invalidated on placement changes (incremental/online contexts).
 """
@@ -43,21 +32,16 @@ import numpy as np
 from .intervals import Interval, IntervalSet
 from .stepfun import StepFunction
 from .tolerance import TOLERANCE
+from .vectorized import vec_busy_union, vec_event_steps
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..jobs.job import Job
 
 __all__ = [
-    "merged_events",
-    "sweep_demand_profile",
     "demand_profile_reference",
-    "sweep_busy_union",
     "busy_union_reference",
-    "sweep_busy_time",
     "busy_time_reference",
-    "sweep_peak_load",
     "peak_load_reference",
-    "sweep_grouped_busy_time",
     "grouped_busy_time_reference",
     "sweep_nested_demand",
     "nested_demand_reference",
@@ -68,70 +52,9 @@ __all__ = [
 _LOAD_EPS = TOLERANCE
 
 
-def _as_arrays(
-    starts: Sequence[float], ends: Sequence[float], weights: Sequence[float] | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    s = np.asarray(starts, dtype=float)
-    e = np.asarray(ends, dtype=float)
-    if s.shape != e.shape or s.ndim != 1:
-        raise ValueError("starts and ends must be 1-D arrays of equal length")
-    if np.any(e <= s):
-        raise ValueError("every interval needs start < end")
-    if weights is None:
-        w = np.ones_like(s)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != s.shape:
-            raise ValueError("weights must match starts/ends")
-    return s, e, w
-
-
-def merged_events(
-    starts: Sequence[float],
-    ends: Sequence[float],
-    weights: Sequence[float] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge ``[start, end)`` weighted intervals into one event queue.
-
-    Returns ``(times, cover)`` where ``times`` is the sorted array of the
-    ``k+1`` distinct event times and ``cover[j]`` is the total weight active
-    on ``[times[j], times[j+1])`` (length ``k``).  Because a ``+w`` at time
-    ``t`` and a ``-w`` at the same ``t`` land in the same accumulator slot,
-    half-open semantics are automatic: an interval ending at ``t`` never
-    overlaps one starting at ``t``.
-
-    This is the shared ``O(n log n)`` primitive behind every sweep kernel.
-    """
-    s, e, w = _as_arrays(starts, ends, weights)
-    if s.size == 0:
-        return np.zeros(1), np.zeros(0)
-    times = np.concatenate([s, e])
-    deltas = np.concatenate([w, -w])
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    uniq, first = np.unique(times, return_index=True)
-    sums = np.add.reduceat(deltas[order], first)
-    cover = np.cumsum(sums)[:-1]
-    # float cancellation can leave ±1e-16 residue where the true cover is 0
-    cover[np.abs(cover) < _LOAD_EPS] = 0.0
-    return uniq, cover
-
-
 # ---------------------------------------------------------------------------
 # demand profiles
 # ---------------------------------------------------------------------------
-
-def sweep_demand_profile(
-    pulses: Sequence[tuple[float, float, float]],
-) -> StepFunction:
-    """Demand profile of ``(left, right, height)`` pulses via one merged
-    event queue — the vectorized engine behind :func:`repro.sum_pulses`."""
-    if not pulses:
-        return StepFunction.zero()
-    arr = np.asarray(pulses, dtype=float)
-    times, cover = merged_events(arr[:, 0], arr[:, 1], arr[:, 2])
-    return StepFunction(times, cover).compact()
-
 
 def demand_profile_reference(
     pulses: Sequence[tuple[float, float, float]],
@@ -151,25 +74,6 @@ def demand_profile_reference(
 # busy-interval unions
 # ---------------------------------------------------------------------------
 
-def sweep_busy_union(
-    starts: Sequence[float], ends: Sequence[float]
-) -> IntervalSet:
-    """Union of ``[start, end)`` intervals as a normalized IntervalSet.
-
-    One merged event queue; consecutive covered spans are collapsed into
-    maximal runs *vectorized* (boundary detection on the coverage mask), so
-    only the handful of resulting intervals ever become Python objects.
-    """
-    times, cover = merged_events(starts, ends)
-    if cover.size == 0:
-        return IntervalSet()
-    padded = np.concatenate([[False], cover > 0, [False]])
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return IntervalSet.from_pairs(
-        (float(times[i]), float(times[j])) for i, j in zip(edges[0::2], edges[1::2])
-    )
-
-
 def busy_union_reference(
     starts: Sequence[float], ends: Sequence[float]
 ) -> IntervalSet:
@@ -177,52 +81,14 @@ def busy_union_reference(
     return IntervalSet(Interval(float(a), float(b)) for a, b in zip(starts, ends))
 
 
-def sweep_busy_time(starts: Sequence[float], ends: Sequence[float]) -> float:
-    """Measure of the union of ``[start, end)`` intervals — no objects built."""
-    times, cover = merged_events(starts, ends)
-    if cover.size == 0:
-        return 0.0
-    return float(np.sum(np.diff(times)[cover > 0]))
-
-
 def busy_time_reference(starts: Sequence[float], ends: Sequence[float]) -> float:
-    """Naive oracle for :func:`sweep_busy_time`."""
+    """Naive oracle for the measure of a busy union."""
     return busy_union_reference(starts, ends).length
 
 
 # ---------------------------------------------------------------------------
 # capacity checks
 # ---------------------------------------------------------------------------
-
-def sweep_peak_load(
-    starts: Sequence[float],
-    ends: Sequence[float],
-    sizes: Sequence[float],
-    *,
-    time_tol: float = 0.0,
-) -> float:
-    """Peak concurrent load of weighted ``[start, end)`` intervals.
-
-    Half-open semantics come from the shared event accumulator: a job
-    departing at ``t`` cancels against a job arriving at ``t`` before the
-    segment value is read, so back-to-back jobs never double-count.
-
-    ``time_tol`` additionally ignores segments of measure ``<= time_tol``:
-    when a departure and an arrival are *mathematically* simultaneous but an
-    ulp apart in float (``0.1 + 0.2`` vs ``0.3``), the phantom sliver they
-    span carries both loads; a positive tolerance treats it as the handoff
-    it really is.  With ``time_tol=0`` the kernel is exact and matches
-    :func:`peak_load_reference` bit-for-bit on shared inputs.
-    """
-    times, cover = merged_events(starts, ends, sizes)
-    if cover.size == 0:
-        return 0.0
-    if time_tol > 0.0:
-        cover = cover[np.diff(times) > time_tol]
-        if cover.size == 0:
-            return 0.0
-    return float(np.max(cover, initial=0.0))
-
 
 def peak_load_reference(
     starts: Sequence[float], ends: Sequence[float], sizes: Sequence[float]
@@ -239,46 +105,6 @@ def peak_load_reference(
 # ---------------------------------------------------------------------------
 # grouped busy time (the busy-cost integrator)
 # ---------------------------------------------------------------------------
-
-def sweep_grouped_busy_time(
-    starts: Sequence[float],
-    ends: Sequence[float],
-    group_index: Sequence[int],
-    n_groups: int,
-) -> np.ndarray:
-    """Busy time (union measure) of each group's intervals in ONE sweep.
-
-    Instead of one event sort per machine, every machine's intervals are
-    translated into a private block of the time line (block width = global
-    span), so a single merged event queue yields all unions at once; each
-    busy segment is then attributed back to its group by block index.
-    ``O(N log N)`` total for ``N`` intervals regardless of machine count.
-    """
-    s = np.asarray(starts, dtype=float)
-    e = np.asarray(ends, dtype=float)
-    g = np.asarray(group_index, dtype=np.int64)
-    if not (s.shape == e.shape == g.shape):
-        raise ValueError("starts, ends and group_index must align")
-    out = np.zeros(n_groups)
-    if s.size == 0:
-        return out
-    if np.any(g < 0) or np.any(g >= n_groups):
-        raise ValueError("group_index out of range")
-    t0 = float(s.min())
-    block = float(e.max()) - t0 + 1.0
-    offset = g * block
-    times, cover = merged_events(s - t0 + offset, e - t0 + offset)
-    busy = cover > 0
-    lengths = np.diff(times)[busy]
-    # a busy segment lies inside its group's block; identify the block by
-    # comparing against the same g*block products the offsets were built
-    # from (exact float equality — floor(times/block) is NOT safe, since
-    # (3*block)/block can round below 3)
-    boundaries = np.arange(n_groups, dtype=np.int64) * block
-    owners = np.searchsorted(boundaries, times[:-1][busy], side="right") - 1
-    np.add.at(out, owners, lengths)
-    return out
-
 
 def grouped_busy_time_reference(
     starts: Sequence[float],
@@ -385,9 +211,9 @@ class BusyIntervalCache:
     Incremental contexts (the online engine, windowed re-planning, the
     streaming service runtime) add and remove intervals as placements
     change; the union/measure of a machine is computed lazily by
-    :func:`sweep_busy_union` and cached until the next change to that
-    machine invalidates it.  Machines are independent, so an update to one
-    never discards another's memo.
+    :func:`~repro.core.vectorized.vec_busy_union` and cached until the next
+    change to that machine invalidates it.  Machines are independent, so an
+    update to one never discards another's memo.
 
     ``on_change`` is an invalidation hook: whenever a machine's memo is
     dropped (add / remove / explicit invalidate) the callback is invoked
@@ -439,9 +265,7 @@ class BusyIntervalCache:
         memo = self._memo.get(key)
         if memo is None:
             pairs = self._raw.get(key, [])
-            memo = (
-                sweep_busy_union(*zip(*pairs)) if pairs else IntervalSet()
-            )
+            memo = vec_busy_union(*zip(*pairs)) if pairs else IntervalSet()
             self._memo[key] = memo
         return memo
 
@@ -458,12 +282,17 @@ class BusyIntervalCache:
         still running: each open job contributes ``[arrival, now)`` on top
         of the recorded (closed) intervals.  Nothing is mutated and the
         memo is neither consulted for the combined union nor invalidated.
+
+        The measure is the sum of the covered segment lengths.  Snapshots
+        store ``cost()`` and restores compare it exactly, so this summation
+        order is part of the persisted state.
         """
         pairs = list(self._raw.get(key, []))
         pairs.extend((float(a), float(b)) for a, b in extras)
         if not pairs:
             return 0.0
-        return sweep_busy_time(*zip(*pairs))
+        times, cover = vec_event_steps(*zip(*pairs))
+        return float(np.sum(np.diff(times)[cover > 0]))
 
     def total_busy_time(self) -> float:
         """Sum of busy times over all machines."""

@@ -7,7 +7,7 @@ Event times in this codebase are floats, and two conventions coexist:
 - **Tolerant** comparisons where times arrive from arithmetic (window
   boundaries, billing roundups) and a ``time_tol`` guard absorbs float
   noise, mirroring the ``time_tol`` parameter of
-  :func:`repro.core.sweep.sweep_peak_load`.
+  :func:`repro.core.vectorized.vec_peak_load`.
 
 Bare ``==`` / ``!=`` on time coordinates hides which convention is in
 play, which is how zero-measure phantom segments sneak in; the BSHM002

@@ -1,49 +1,25 @@
-"""Array-native bulk kernels: the columnar fast path for offline-scale runs.
+"""Array-native bulk kernels: the one production path for batch accounting.
 
-The event-sweep kernels in :mod:`repro.core.sweep` are asymptotically right,
-but every *batch* entry point reached them by walking Python ``Job`` objects:
-list comprehensions over a million jobs, one boxed float per endpoint, a
-``list -> np.asarray`` conversion per call, and a pure-Python
-``StepFunction.compact`` pass over millions of segments.  At the scales the
-offline bounds and the e11 scaling experiments care about (10^5-10^6 jobs),
-that per-object traffic dominates the actual sorting work.
-
-This module is the second implementation of the bulk kernels, built directly
-on contiguous ``float64`` columns (see :meth:`repro.jobs.jobset.JobSet.
-to_arrays`): one stable sort of the merged event queue, ``np.cumsum`` for
-running loads, ``np.searchsorted`` for segment sampling, and vectorized
-compaction — no per-job Python in any hot loop.
-
-Dispatch
---------
-Batch entry points (``JobSet.demand_profile``, ``Schedule.busy_times``,
-DEC-OFFLINE strip peeling, the experiment harness) route through
-:func:`use_vectorized`: instances with at least :func:`vec_threshold`
-jobs take the columnar path, smaller ones stay on the sweep kernels, and the
-``*_reference`` twins remain the ground-truth oracle tier underneath both
-(BSHM003 keeps them out of production paths).  The decision is a pure integer
-comparison against a process-wide constant — **never** derived from timing,
-core counts or platform probes — so a replayed trace picks the same path on
-every machine (see ``tests/core/test_vectorized_dispatch.py``).
-
-The threshold comes from ``BSHM_VEC_THRESHOLD`` (read once at import;
-default :data:`DEFAULT_VEC_THRESHOLD`); tests pin it temporarily with
-:func:`dispatch_threshold`.
+Every batch computation over interval jobs — demand profiles, busy-interval
+unions, capacity checks, per-machine busy times, the nested per-type
+demands of the Eq.-(1) lower bound — runs here, at every instance size,
+directly on contiguous ``float64`` columns (see
+:meth:`repro.jobs.jobset.JobSet.to_arrays`): one stable sort of the merged
+event queue, ``np.cumsum`` for running loads, ``np.searchsorted`` for
+segment sampling, and vectorized compaction — no per-job Python in any hot
+loop.
 
 Correctness
 -----------
-Every kernel here is pinned three ways in
-``tests/property/test_vectorized_oracle.py``: vectorized vs sweep vs
-``*_reference`` — exact on integer inputs, within 1e-9 on floats (only the
-summation order differs).  The golden E1-E5 costs are additionally replayed
-through this path in ``tests/integration/test_golden_costs.py``.
+Every kernel is pinned against the naive ``*_reference`` oracles of
+:mod:`repro.core.sweep` in ``tests/property/test_vectorized_oracle.py`` —
+exact on integer inputs, within 1e-9 on floats (only the summation order
+differs).  BSHM003 keeps the oracles out of production paths.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,78 +28,16 @@ from .stepfun import StepFunction
 from .tolerance import TOLERANCE
 
 __all__ = [
-    "DEFAULT_VEC_THRESHOLD",
-    "vec_threshold",
-    "use_vectorized",
-    "dispatch_threshold",
     "vec_event_steps",
-    "vec_demand_steps",
     "vec_demand_profile",
-    "vec_busy_time",
     "vec_busy_union",
     "vec_peak_load",
     "vec_grouped_busy_time",
-    "vec_busy_cost",
     "vec_nested_demand",
 ]
 
 #: values smaller than this are float residue of event cancellation, not load
-#: (kept identical to ``repro.core.sweep._LOAD_EPS``)
 _LOAD_EPS = TOLERANCE
-
-#: instances with at least this many jobs take the columnar path by default.
-#: Chosen where the per-object costs of the sweep entry points (list building,
-#: boxed-float conversion) start to dominate the sort; the exact value only
-#: moves work between two bit-compatible paths, it never changes results.
-DEFAULT_VEC_THRESHOLD = 4096
-
-
-def _threshold_from_env() -> int:
-    """Parse ``BSHM_VEC_THRESHOLD`` once at import (explicit configuration,
-    not a platform probe — the same environment replays identically)."""
-    raw = os.environ.get("BSHM_VEC_THRESHOLD")
-    if raw is None:
-        return DEFAULT_VEC_THRESHOLD
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"BSHM_VEC_THRESHOLD must be an integer, got {raw!r}"
-        ) from exc
-
-
-_threshold: int = _threshold_from_env()
-
-
-def vec_threshold() -> int:
-    """The current dispatch threshold (jobs needed to take the columnar path)."""
-    return _threshold
-
-
-def use_vectorized(n: int) -> bool:
-    """Whether a batch of ``n`` jobs dispatches to the vectorized kernels.
-
-    A pure integer comparison: deterministic across platforms, runs and
-    replays.  ``BSHM_VEC_THRESHOLD=0`` forces the columnar path everywhere;
-    a threshold larger than any instance disables it.
-    """
-    return n >= _threshold
-
-
-@contextmanager
-def dispatch_threshold(value: int) -> Iterator[None]:
-    """Temporarily pin the dispatch threshold (tests, benchmarks).
-
-    ``dispatch_threshold(0)`` forces every entry point onto the vectorized
-    path; ``dispatch_threshold(2**63 - 1)`` forces the sweep tier.
-    """
-    global _threshold
-    old = _threshold
-    _threshold = int(value)
-    try:
-        yield
-    finally:
-        _threshold = old
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +93,12 @@ def vec_event_steps(
     """``(times, cover)`` for weighted ``[start, end)`` intervals, sort-once.
 
     ``times`` holds the ``k+1`` distinct event times, ``cover[j]`` the total
-    weight active on ``[times[j], times[j+1])``.  Unlike
-    :func:`repro.core.sweep.merged_events` (argsort + a second sort inside
-    ``np.unique`` + ``reduceat``), this sorts the event queue exactly once
-    and reads the running ``np.cumsum`` at the last slot of each distinct
-    time — half-open semantics fall out because a ``-w`` and a ``+w`` at the
-    same instant are both folded into the running sum before it is sampled.
+    weight active on ``[times[j], times[j+1])``.  The event queue is sorted
+    exactly once and the running ``np.cumsum`` is read at the last slot of
+    each distinct time — half-open semantics fall out because a ``-w`` and a
+    ``+w`` at the same instant are both folded into the running sum before
+    it is sampled.  This is the shared primitive behind every
+    segment-valued kernel here.
     """
     s, e, w = _as_columns(starts, ends, weights)
     if s.size == 0:
@@ -209,13 +123,6 @@ def vec_event_steps(
 # ---------------------------------------------------------------------------
 # demand profiles
 # ---------------------------------------------------------------------------
-
-def vec_demand_steps(
-    starts: np.ndarray, ends: np.ndarray, sizes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw ``(breaks, values)`` of the demand profile — no objects built."""
-    return vec_event_steps(starts, ends, sizes)
-
 
 def _compact_steps(
     breaks: np.ndarray, values: np.ndarray
@@ -246,14 +153,15 @@ def vec_demand_profile(
 ) -> StepFunction:
     """The demand profile ``s(J, ·)`` as a compacted :class:`StepFunction`.
 
-    Identical output to ``sum_pulses`` / :func:`repro.core.sweep.
-    sweep_demand_profile`, but compaction happens on whole arrays instead of
-    the per-segment Python loop in :meth:`StepFunction.compact` — at 10^6
-    jobs that loop alone costs more than the sort.
+    The engine behind :func:`repro.core.stepfun.sum_pulses` and
+    :meth:`repro.jobs.jobset.JobSet.demand_profile`.  Compaction happens on
+    whole arrays instead of the per-segment Python loop in
+    :meth:`StepFunction.compact` — at 10^6 jobs that loop alone costs more
+    than the sort.
     """
     if np.asarray(starts).size == 0:
         return StepFunction.zero()
-    times, cover = vec_demand_steps(starts, ends, sizes)
+    times, cover = vec_event_steps(starts, ends, sizes)
     breaks, values = _compact_steps(times, cover)
     return StepFunction(breaks, values)
 
@@ -261,28 +169,6 @@ def vec_demand_profile(
 # ---------------------------------------------------------------------------
 # busy time / unions
 # ---------------------------------------------------------------------------
-
-def vec_busy_time(starts: np.ndarray, ends: np.ndarray) -> float:
-    """Measure of the union of ``[start, end)`` intervals — no permutation.
-
-    With starts and ends *value*-sorted independently, the cover
-    ``#\\{starts <= t\\} - #\\{ends <= t\\}`` hits zero exactly on the spans
-    ``[ee[k-1], ss[k])`` where the ``k``-th smallest end precedes the
-    ``(k+1)``-th smallest start, so
-
-        union  =  (max end - min start) - Σ_k max(0, ss[k] - ee[k-1]).
-
-    Two ``np.sort`` calls (SIMD, no argsort, no gathers) and one reduction —
-    the cheapest kernel in the module.
-    """
-    s, e, _ = _as_columns(starts, ends, None)
-    if s.size == 0:
-        return 0.0
-    ss = np.sort(s)
-    ee = np.sort(e)
-    gaps = np.maximum(ss[1:] - ee[:-1], 0.0)
-    return float(ee[-1] - ss[0] - gaps.sum())
-
 
 def vec_busy_union(starts: np.ndarray, ends: np.ndarray) -> IntervalSet:
     """Union of ``[start, end)`` intervals as a normalized IntervalSet."""
@@ -315,9 +201,10 @@ def vec_peak_load(
     is at most the true segment cover and the prefix maximum equals the
     half-open peak — one sort, one ``cumsum``, one ``max``.
 
-    A positive ``time_tol`` ignores zero-measure phantom slivers exactly like
-    :func:`repro.core.sweep.sweep_peak_load` and needs the deduplicated
-    segment view.
+    A positive ``time_tol`` ignores segments of measure ``<= time_tol``:
+    when a departure and an arrival are *mathematically* simultaneous but an
+    ulp apart in float (``0.1 + 0.2`` vs ``0.3``), the phantom sliver they
+    span carries both loads.  That needs the deduplicated segment view.
     """
     s, e, w = _as_columns(starts, ends, sizes)
     if s.size == 0:
@@ -335,7 +222,7 @@ def vec_peak_load(
 
 
 # ---------------------------------------------------------------------------
-# grouped busy time and busy-cost integration
+# grouped busy time (the busy-cost integrator)
 # ---------------------------------------------------------------------------
 
 def vec_grouped_busy_time(
@@ -347,11 +234,10 @@ def vec_grouped_busy_time(
     """Busy time (union measure) of each group's intervals in ONE sort.
 
     Every group's intervals are shifted into a private block of the time
-    line (block width = global span) and merged with the running-maximum
-    interval sweep of :func:`vec_busy_time`; per-group totals come from one
-    ``np.bincount``.  Unlike :func:`repro.core.sweep.sweep_grouped_busy_time`
-    there is no event queue, no ``np.unique`` re-sort and no ``np.add.at``
-    scatter — ``O(N log N)`` with a single stable argsort.
+    line (block width = global span) and merged with a running-maximum
+    interval sweep; per-group totals come from one ``np.bincount``.  No
+    event queue, no re-sort and no scatter — ``O(N log N)`` with a single
+    stable argsort, whatever the machine count.
     """
     s = np.ascontiguousarray(starts, dtype=np.float64)
     e = np.ascontiguousarray(ends, dtype=np.float64)
@@ -382,23 +268,6 @@ def vec_grouped_busy_time(
     covered_to[1:] = np.maximum(runmax[:-1], ss[1:])
     contrib = np.maximum(ee - covered_to, 0.0)
     return np.bincount(gg, weights=contrib, minlength=n_groups)
-
-
-def vec_busy_cost(
-    starts: Sequence[float] | np.ndarray,
-    ends: Sequence[float] | np.ndarray,
-    group_index: Sequence[int] | np.ndarray,
-    group_rates: Sequence[float] | np.ndarray,
-) -> float:
-    """Total busy cost ``Σ_machine rate(machine) · busy_time(machine)``.
-
-    The BSHM objective for a fully materialized assignment: grouped busy
-    times from :func:`vec_grouped_busy_time` contracted against per-group
-    rates in one dot product.
-    """
-    rates = np.ascontiguousarray(group_rates, dtype=np.float64)
-    busy = vec_grouped_busy_time(starts, ends, group_index, rates.size)
-    return float(np.dot(busy, rates))
 
 
 # ---------------------------------------------------------------------------

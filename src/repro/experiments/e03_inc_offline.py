@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 from ..analysis.ratios import evaluate
 from ..analysis.tables import render_table
 from ..jobs.generators.workloads import (
@@ -51,21 +49,4 @@ def run(scale: str = "full") -> ExperimentResult:
         passed=worst <= BOUND,
     )
     result.notes.append(f"worst measured ratio {worst:.3f} vs proven bound {BOUND}")
-
-    # engine A/B wall time lives in the notes, not the rows: the golden
-    # tables pin the row set, and the timing is environment-dependent anyway
-    ladder = inc_ladder(5)
-    jobs = uniform_workload(
-        n, rng_for(EXPERIMENT_ID, salt=999), max_size=ladder.capacity(5)
-    )
-    t0 = time.perf_counter()
-    inc_offline(jobs, ladder, engine="columnar")
-    t_col = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    inc_offline(jobs, ladder, engine="object")
-    t_obj = time.perf_counter() - t0
-    result.notes.append(
-        f"engine wall time at n={len(jobs)} (m=5): object {t_obj * 1e3:.1f}ms, "
-        f"columnar {t_col * 1e3:.1f}ms ({t_obj / max(t_col, 1e-9):.1f}x)"
-    )
     return result

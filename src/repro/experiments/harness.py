@@ -86,31 +86,21 @@ def workload_stats(jobs: JobSet) -> dict[str, float]:
 
     ``n`` (jobs), ``peak_demand`` (``max_t s(J, t)``), ``busy_time`` (measure
     of the union of active intervals), ``volume`` (``Σ s(J)·len(I(J))``) and
-    ``mu`` (max/min duration ratio).  Above the dispatch threshold everything
-    runs on the columnar :mod:`repro.core.vectorized` kernels over one cached
+    ``mu`` (max/min duration ratio).  Everything runs on the columnar
+    :mod:`repro.core.vectorized` kernels over one cached
     :meth:`JobSet.to_arrays` view, so the scaling experiments can afford to
     report these at 10^5-10^6 jobs.
     """
-    from ..core.vectorized import use_vectorized, vec_busy_time
-
     if jobs.empty:
         return {"n": 0.0, "peak_demand": 0.0, "busy_time": 0.0, "volume": 0.0, "mu": 1.0}
-    if use_vectorized(len(jobs)):
-        a = jobs.to_arrays()
-        durations = a.ends - a.starts
-        return {
-            "n": float(len(jobs)),
-            "peak_demand": jobs.peak_demand(),  # dispatches to vec_peak_load
-            "busy_time": vec_busy_time(a.starts, a.ends),
-            "volume": float(np.dot(a.sizes, durations)),
-            "mu": float(durations.max() / durations.min()),
-        }
+    a = jobs.to_arrays()
+    durations = a.ends - a.starts
     return {
         "n": float(len(jobs)),
         "peak_demand": jobs.peak_demand(),
         "busy_time": jobs.busy_span().length,
-        "volume": jobs.total_volume(),
-        "mu": jobs.mu,
+        "volume": float(np.dot(a.sizes, durations)),
+        "mu": float(durations.max() / durations.min()),
     }
 
 

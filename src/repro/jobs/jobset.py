@@ -18,15 +18,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from ..core.intervals import Interval, IntervalSet
-from ..core.stepfun import StepFunction, sum_pulses
+from ..core.stepfun import StepFunction
 from ..core.events import elementary_segments
-from ..core.sweep import sweep_busy_union, sweep_peak_load
-from ..core.vectorized import (
-    use_vectorized,
-    vec_busy_union,
-    vec_demand_profile,
-    vec_peak_load,
-)
+from ..core.vectorized import vec_busy_union, vec_demand_profile, vec_peak_load
 from .job import Job
 
 __all__ = ["JobArrays", "JobSet"]
@@ -132,18 +126,12 @@ class JobSet:
         return sum(j.size for j in self._jobs if j.active_at(t))
 
     def demand_profile(self) -> StepFunction:
-        """``s(J, ·)`` as a step function (the paper's *demand chart* height).
-
-        Batches of at least :func:`~repro.core.vectorized.vec_threshold` jobs
-        dispatch to the columnar kernel (identical output, no per-job Python);
-        smaller sets stay on the sweep path.
-        """
+        """``s(J, ·)`` as a step function (the paper's *demand chart* height),
+        from the columnar kernel over :meth:`to_arrays`."""
         if not self._jobs:
             return StepFunction.zero()
-        if use_vectorized(len(self._jobs)):
-            a = self.to_arrays()
-            return vec_demand_profile(a.starts, a.ends, a.sizes)
-        return sum_pulses([(j.arrival, j.departure, j.size) for j in self._jobs])
+        a = self.to_arrays()
+        return vec_demand_profile(a.starts, a.ends, a.sizes)
 
     def at_least_class(self, i: int, capacities: Sequence[float]) -> "JobSet":
         """``J_{>= i}`` — jobs that must run on type ``>= i``: ``s(J) > g_{i-1}``.
@@ -170,12 +158,8 @@ class JobSet:
         """``U_{J in set} I(J)`` — the union of all active intervals."""
         if not self._jobs:
             return IntervalSet()
-        if use_vectorized(len(self._jobs)):
-            a = self.to_arrays()
-            return vec_busy_union(a.starts, a.ends)
-        return sweep_busy_union(
-            [j.arrival for j in self._jobs], [j.departure for j in self._jobs]
-        )
+        a = self.to_arrays()
+        return vec_busy_union(a.starts, a.ends)
 
     def segments(self) -> list[Interval]:
         """Elementary segments on which every aggregate is constant."""
@@ -209,34 +193,13 @@ class JobSet:
         """``max_t s(J, t)`` (event sweep; no profile object built)."""
         if not self._jobs:
             return 0.0
-        if use_vectorized(len(self._jobs)):
-            a = self.to_arrays()
-            return vec_peak_load(a.starts, a.ends, a.sizes)
-        return sweep_peak_load(
-            [j.arrival for j in self._jobs],
-            [j.departure for j in self._jobs],
-            [j.size for j in self._jobs],
-        )
+        a = self.to_arrays()
+        return vec_peak_load(a.starts, a.ends, a.sizes)
 
     # -- transformations -------------------------------------------------------
     def filter(self, predicate: Callable[[Job], bool]) -> "JobSet":
         """Subset of jobs satisfying the predicate."""
         return JobSet(j for j in self._jobs if predicate(j))
-
-    def filter_max_size(self, limit: float) -> "JobSet":
-        """Jobs with ``s(J) <= limit`` (the DEC strip-peeling eligibility cut).
-
-        Above the dispatch threshold the cut is a single vectorized mask over
-        the cached size column — no per-job predicate calls — and the subset
-        reuses the canonical order, skipping the constructor's re-sort.
-        """
-        if use_vectorized(len(self._jobs)):
-            mask = self.to_arrays().sizes <= limit
-            if bool(mask.all()):
-                return self
-            picked = tuple(job for job, m in zip(self._jobs, mask) if m)
-            return JobSet(picked, _presorted=True)
-        return self.filter(lambda j: j.size <= limit)
 
     def minus(self, other: "JobSet") -> "JobSet":
         """Set difference by uid (the paper's ``J̈_i = ... - U J̌_k``)."""

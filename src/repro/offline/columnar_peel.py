@@ -1,27 +1,22 @@
-"""Columnar strip-peeling engines for the offline algorithms.
+"""The strip-peeling engines behind every offline algorithm.
 
-The object implementations of DEC/INC/GEN-OFFLINE and Dual-Coloring
-re-materialize a ``JobSet`` per iteration, place Python ``Band`` objects one
-at a time and walk dicts of band lists to emit machine keys.  The engines
-here run the same pipeline — place, slice into ``g_i / 2`` strips, charge
-the bottom ``B_i`` strips, roll the rest over — entirely on the
-``JobSet.to_arrays()`` columns: roll-over sets are index arrays into the
-canonical columns, altitudes come from
+DEC/INC/GEN-OFFLINE and Dual-Coloring all run one pipeline — place, slice
+into ``g_i / 2`` strips, charge the bottom ``B_i`` strips, roll the rest
+over — and the engines here run it on the ``JobSet.to_arrays()`` columns at
+every instance size: roll-over sets are index arrays into the canonical
+columns, altitudes come from
 :func:`~repro.placement.columnar.columnar_altitudes`, and ``Job`` objects
 are only touched once at the very end when the assignment dict is built for
 :class:`~repro.schedule.schedule.Schedule`.
 
 **Emission order is part of the contract.**  ``Schedule.cost()`` sums busy
-times in assignment insertion order, so to stay byte-identical to the object
-path each iteration emits all inside-strip keys first (strips in first-seen
-order over the canonical band order, filtered by budget) and then the
-crossing keys boundary by boundary — exactly the dict-iteration order of
-``StripAssignment.bands_touching_bottom`` plus ``two_color``.
-
-Dispatch between the object and columnar engines reuses the PR-7
-size-threshold machinery (:func:`~repro.core.vectorized.use_vectorized`):
-a pure integer compare, replay-deterministic, with the object path kept as
-the differential oracle (``tests/property/test_columnar_parity.py``).
+times in assignment insertion order, so each iteration emits all
+inside-strip keys first (strips in first-seen order over the placement's
+processing order, filtered by budget) and then the crossing keys boundary
+by boundary — the dict-iteration order of
+``StripAssignment.bands_touching_bottom`` plus ``two_color``.  The object
+peel loops in ``tests/offline/reference.py`` are the differential oracle
+(``tests/property/test_columnar_parity.py``).
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.tolerance import FINE_TOL
-from ..core.vectorized import use_vectorized
 from ..jobs.job import Job
 from ..jobs.jobset import JobSet
 from ..machines.ladder import Ladder
@@ -38,10 +32,10 @@ from ..placement.columnar import (
     columnar_strip_slices,
     columnar_two_color,
 )
+from ..placement.greedy import place_jobs
 from ..schedule.schedule import MachineKey, Schedule
 
 __all__ = [
-    "resolve_engine",
     "columnar_dual_assign",
     "dec_offline_columnar",
     "inc_offline_columnar",
@@ -49,69 +43,107 @@ __all__ = [
 ]
 
 
-def resolve_engine(engine: str, n_jobs: int, placement_order: str = "arrival") -> str:
-    """Pick the object or columnar engine for an offline run.
+def _placed(
+    seq: tuple[Job, ...],
+    idx: np.ndarray,
+    sub_starts: np.ndarray,
+    sub_ends: np.ndarray,
+    sub_sizes: np.ndarray,
+    order: str,
+) -> tuple[np.ndarray, list[int] | None]:
+    """Band altitudes of the jobs ``seq[idx]`` (whose columns are ``sub_*``)
+    and the placement's processing sequence of positions in ``idx``
+    (``None``: arrival order).
 
-    ``"auto"`` (the default everywhere) takes the columnar path exactly when
-    the PR-7 dispatch would: at least :func:`~repro.core.vectorized.
-    vec_threshold` jobs — a pure integer compare, decided once per call, so
-    a replayed trace picks the same engine on every machine.  The columnar
-    engine only implements the arrival-order (Dual-Coloring) convention;
-    other placement orders stay on the object path under ``"auto"`` and are
-    rejected when forced.
+    Arrival order runs the columnar placer.  The largest-first and
+    longest-first orders (the E17 ablation) run the object placer on the
+    subset and map its bands back to positions.
     """
-    if engine == "auto":
-        if placement_order == "arrival" and use_vectorized(n_jobs):
-            return "columnar"
-        return "object"
-    if engine not in ("object", "columnar"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "columnar" and placement_order != "arrival":
-        raise ValueError("the columnar engine only supports arrival-order placement")
-    return engine
+    if order == "arrival":
+        return columnar_altitudes(sub_starts, sub_ends, sub_sizes), None
+    subset = tuple(seq[g] for g in idx.tolist())
+    local = {job.uid: i for i, job in enumerate(subset)}
+    alts = np.empty(len(subset))
+    processed = []
+    for band in place_jobs(JobSet(subset, _presorted=True), order=order).bands:
+        i = local[band.job.uid]
+        alts[i] = band.altitude
+        processed.append(i)
+    return alts, processed
 
 
-def _peel_emit(
-    arrivals: list[float],
-    departures: list[float],
-    strip_index: np.ndarray,
-    boundary: np.ndarray,
+def _peel(
+    seq: tuple[Job, ...],
+    starts: np.ndarray,
+    ends: np.ndarray,
+    sizes: np.ndarray,
+    idx: np.ndarray,
+    height: float,
     budget: int | None,
     type_index: int,
     tag_prefix: tuple,
+    order: str = "arrival",
 ) -> list[tuple[int, MachineKey]]:
-    """Emit ``(local_index, machine_key)`` pairs in the object path's exact
-    insertion order; ``budget=None`` means unbounded strips (Dual-Coloring).
+    """Place the jobs ``idx``, slice the chart into strips of ``height`` and
+    emit ``(global_index, machine_key)`` for every band touching the bottom
+    ``budget`` strips (``None``: unbounded strips, i.e. Dual-Coloring), in
+    the object peel loop's exact insertion order.
     """
-    inside_groups: dict[int, list[int]] = {}
-    cross_groups: dict[int, list[int]] = {}
+    sub_starts = starts[idx]
+    sub_ends = ends[idx]
+    sub_sizes = sizes[idx]
+    alts, processed = _placed(seq, idx, sub_starts, sub_ends, sub_sizes, order)
+    strip_index, boundary = columnar_strip_slices(alts, alts + sub_sizes, height)
     strips = strip_index.tolist()
     bounds = boundary.tolist()
-    for i, k in enumerate(bounds):
+    inside_groups: dict[int, list[int]] = {}
+    cross_groups: dict[int, list[int]] = {}
+    for i in range(len(bounds)) if processed is None else processed:
+        k = bounds[i]
         if k:
             cross_groups.setdefault(k, []).append(i)
         else:
             inside_groups.setdefault(strips[i], []).append(i)
 
+    globals_ = idx.tolist()
     pairs: list[tuple[int, MachineKey]] = []
     for k, members in inside_groups.items():
         if budget is not None and not k < budget:
             continue
         key = MachineKey(type_index, tag_prefix + ("strip", k))
-        for i in members:
-            pairs.append((i, key))
+        pairs.extend((globals_[i], key) for i in members)
+    arrivals = sub_starts.tolist()
+    departures = sub_ends.tolist()
     for k, members in cross_groups.items():
         if budget is not None and not k <= budget:
             continue
-        colors = columnar_two_color(
-            [arrivals[i] for i in members], [departures[i] for i in members]
+        ordered = sorted(members)  # the two-coloring runs in arrival order
+        colors = dict(
+            zip(
+                ordered,
+                columnar_two_color(
+                    [arrivals[i] for i in ordered], [departures[i] for i in ordered]
+                ),
+            )
         )
-        for i, color in zip(members, colors):
-            pairs.append((i, MachineKey(type_index, tag_prefix + ("cross", k, color))))
+        pairs.extend(
+            (globals_[i], MachineKey(type_index, tag_prefix + ("cross", k, colors[i])))
+            for i in members
+        )
     return pairs
 
 
+def _without(
+    remaining: np.ndarray, pairs: list[tuple[int, MachineKey]], n: int
+) -> np.ndarray:
+    """``remaining`` minus the jobs scheduled in ``pairs``, order kept."""
+    gone = np.zeros(n, dtype=bool)
+    gone[[g for g, _ in pairs]] = True
+    return remaining[~gone[remaining]]
+
+
 def _dual_emit(
+    seq: tuple[Job, ...],
     starts: np.ndarray,
     ends: np.ndarray,
     sizes: np.ndarray,
@@ -120,31 +152,18 @@ def _dual_emit(
     type_index: int,
     tag_prefix: tuple,
     strip_divisor: float = 2.0,
+    order: str = "arrival",
 ) -> list[tuple[int, MachineKey]]:
     """Dual-Coloring one index subset; returns ``(global_index, key)`` pairs."""
-    sub_sizes = sizes[idx]
-    oversize = int(np.count_nonzero(sub_sizes > capacity * (1 + FINE_TOL)))
+    oversize = int(np.count_nonzero(sizes[idx] > capacity * (1 + FINE_TOL)))
     if oversize:
         raise ValueError(f"{oversize} jobs exceed capacity {capacity}")
     if idx.size == 0:
         return []
-    sub_starts = starts[idx]
-    sub_ends = ends[idx]
-    alts = columnar_altitudes(sub_starts, sub_ends, sub_sizes)
-    strip_index, boundary = columnar_strip_slices(
-        alts, alts + sub_sizes, capacity / strip_divisor
+    return _peel(
+        seq, starts, ends, sizes, idx, capacity / strip_divisor, None,
+        type_index, tag_prefix, order,
     )
-    pairs = _peel_emit(
-        sub_starts.tolist(),
-        sub_ends.tolist(),
-        strip_index,
-        boundary,
-        None,
-        type_index,
-        tag_prefix,
-    )
-    globals_ = idx.tolist()
-    return [(globals_[local], key) for local, key in pairs]
 
 
 def columnar_dual_assign(
@@ -154,23 +173,22 @@ def columnar_dual_assign(
     tag_prefix: tuple = (),
     strip_divisor: float = 2.0,
 ) -> dict[Job, MachineKey]:
-    """Columnar twin of :func:`~repro.offline.dual_coloring.
-    dual_coloring_assign` (arrival-order placement only)."""
-    if strip_divisor < 2.0:
-        raise ValueError("strip_divisor below 2 would overload strip machines")
+    """Dual-Coloring of a whole job set on one machine type (caller
+    validates ``strip_divisor``; see
+    :func:`~repro.offline.dual_coloring.dual_coloring_assign`)."""
     arrays = jobs.to_arrays()
-    idx = np.arange(len(jobs), dtype=np.int64)
+    seq = jobs.jobs
     emitted = _dual_emit(
+        seq,
         arrays.starts,
         arrays.ends,
         arrays.sizes,
-        idx,
+        np.arange(len(seq), dtype=np.int64),
         capacity,
         type_index,
         tuple(tag_prefix),
         strip_divisor,
     )
-    seq = jobs.jobs
     return {seq[g]: key for g, key in emitted}
 
 
@@ -180,82 +198,57 @@ def dec_offline_columnar(
     *,
     budget_factor: float = 2.0,
     strip_divisor: float = 2.0,
+    placement_order: str = "arrival",
 ) -> Schedule:
-    """Columnar DEC-OFFLINE iteration loop (caller validates the instance).
+    """DEC-OFFLINE iteration loop (caller validates the instance).
 
     Roll-over jobs are carried as an index array into the canonical columns;
-    the per-iteration ``filter_max_size`` cut is one boolean mask, and no
-    ``Job`` object is touched until the final assignment dict.
+    the per-iteration eligibility cut ``s(J) <= g_i`` is one boolean mask,
+    and no ``Job`` object is touched until the final assignment dict.
     """
-    from .dec_offline import strip_budget  # deferred: dec_offline dispatches here
+    from .dec_offline import strip_budget  # deferred: dec_offline imports this module
 
     arrays = jobs.to_arrays()
     starts, ends, sizes = arrays.starts, arrays.ends, arrays.sizes
     seq = jobs.jobs
-    n = len(seq)
-    remaining = np.arange(n, dtype=np.int64)
+    remaining = np.arange(len(seq), dtype=np.int64)
     emitted: list[tuple[int, MachineKey]] = []
 
     for i in range(1, ladder.m):
-        # the strip-peeling eligibility cut: same mask filter_max_size applies
         eligible = remaining[sizes[remaining] <= ladder.capacity(i)]
         if eligible.size == 0:
             continue
-        sub_starts = starts[eligible]
-        sub_ends = ends[eligible]
-        sub_sizes = sizes[eligible]
-        alts = columnar_altitudes(sub_starts, sub_ends, sub_sizes)
-        strip_index, boundary = columnar_strip_slices(
-            alts, alts + sub_sizes, ladder.capacity(i) / strip_divisor
-        )
         budget = strip_budget(
             ladder.rate(i + 1) / ladder.rate(i),
             budget_factor * strip_divisor / 2.0,
         )
-        pairs = _peel_emit(
-            sub_starts.tolist(),
-            sub_ends.tolist(),
-            strip_index,
-            boundary,
-            budget,
-            i,
-            ("it", i),
+        pairs = _peel(
+            seq, starts, ends, sizes, eligible,
+            ladder.capacity(i) / strip_divisor, budget, i, ("it", i),
+            placement_order,
         )
-        if not pairs:
-            continue
-        eligible_l = eligible.tolist()
-        scheduled = np.empty(len(pairs), dtype=np.int64)
-        for row, (local, key) in enumerate(pairs):
-            emitted.append((eligible_l[local], key))
-            scheduled[row] = local
-        gone = np.zeros(n, dtype=bool)
-        gone[eligible[scheduled]] = True
-        remaining = remaining[~gone[remaining]]
+        if pairs:
+            emitted.extend(pairs)
+            remaining = _without(remaining, pairs, len(seq))
 
     # final iteration: everything left goes to type m, unbounded strips
     if remaining.size:
         emitted.extend(
             _dual_emit(
-                starts,
-                ends,
-                sizes,
-                remaining,
-                ladder.capacity(ladder.m),
-                ladder.m,
-                ("it", ladder.m),
-                strip_divisor,
+                seq, starts, ends, sizes, remaining,
+                ladder.capacity(ladder.m), ladder.m, ("it", ladder.m),
+                strip_divisor, placement_order,
             )
         )
-    assignment = {seq[g]: key for g, key in emitted}
-    return Schedule(ladder, assignment)
+    return Schedule(ladder, {seq[g]: key for g, key in emitted})
 
 
 def inc_offline_columnar(jobs: JobSet, ladder: Ladder) -> Schedule:
-    """Columnar INC-OFFLINE (caller validates the instance).
+    """INC-OFFLINE (caller validates the instance).
 
     The size-class partition is one ``searchsorted`` against the capacity
-    ladder — the vector twin of ``Job.size_class`` — and each class runs the
-    columnar Dual-Coloring on its index subset.
+    ladder — the vector twin of ``Job.size_class`` — and each class runs
+    Dual-Coloring on its index subset.
     """
     arrays = jobs.to_arrays()
     caps = np.asarray(ladder.capacities, dtype=np.float64)
@@ -268,29 +261,22 @@ def inc_offline_columnar(jobs: JobSet, ladder: Ladder) -> Schedule:
             continue
         emitted.extend(
             _dual_emit(
-                arrays.starts,
-                arrays.ends,
-                arrays.sizes,
-                members,
-                ladder.capacity(i),
-                i,
-                ("class", i),
+                seq, arrays.starts, arrays.ends, arrays.sizes, members,
+                ladder.capacity(i), i, ("class", i),
             )
         )
-    assignment = {seq[g]: key for g, key in emitted}
-    return Schedule(ladder, assignment)
+    return Schedule(ladder, {seq[g]: key for g, key in emitted})
 
 
 def general_offline_columnar(jobs: JobSet, ladder: Ladder) -> Schedule:
-    """Columnar GEN-OFFLINE post-order traversal (caller validates)."""
-    from .general_offline import node_strip_budget  # deferred: dispatch cycle
+    """GEN-OFFLINE post-order traversal (caller validates the instance)."""
+    from .general_offline import node_strip_budget  # deferred: import cycle
 
     arrays = jobs.to_arrays()
     starts, ends, sizes = arrays.starts, arrays.ends, arrays.sizes
     seq = jobs.jobs
-    n = len(seq)
     forest = ladder.forest()
-    remaining = np.arange(n, dtype=np.int64)
+    remaining = np.arange(len(seq), dtype=np.int64)
     emitted: list[tuple[int, MachineKey]] = []
 
     for j in forest.postorder():
@@ -306,43 +292,16 @@ def general_offline_columnar(jobs: JobSet, ladder: Ladder) -> Schedule:
         parent = forest.parent[j]
         if parent is None:
             # tree root: schedule everything on type j, unbounded strips
-            emitted.extend(
-                _dual_emit(starts, ends, sizes, eligible, g_j, j, ("node", j))
+            pairs = _dual_emit(seq, starts, ends, sizes, eligible, g_j, j, ("node", j))
+        else:
+            budget = node_strip_budget(ladder, j, parent, forest.num_children(parent))
+            pairs = _peel(
+                seq, starts, ends, sizes, eligible, g_j / 2.0, budget, j, ("node", j)
             )
-            gone = np.zeros(n, dtype=bool)
-            gone[eligible] = True
-            remaining = remaining[~gone[remaining]]
-            continue
-
-        sub_starts = starts[eligible]
-        sub_ends = ends[eligible]
-        sub_sizes = sizes[eligible]
-        alts = columnar_altitudes(sub_starts, sub_ends, sub_sizes)
-        strip_index, boundary = columnar_strip_slices(
-            alts, alts + sub_sizes, g_j / 2.0
-        )
-        budget = node_strip_budget(ladder, j, parent, forest.num_children(parent))
-        pairs = _peel_emit(
-            sub_starts.tolist(),
-            sub_ends.tolist(),
-            strip_index,
-            boundary,
-            budget,
-            j,
-            ("node", j),
-        )
-        if not pairs:
-            continue
-        eligible_l = eligible.tolist()
-        scheduled = np.empty(len(pairs), dtype=np.int64)
-        for row, (local, key) in enumerate(pairs):
-            emitted.append((eligible_l[local], key))
-            scheduled[row] = local
-        gone = np.zeros(n, dtype=bool)
-        gone[eligible[scheduled]] = True
-        remaining = remaining[~gone[remaining]]
+        if pairs:
+            emitted.extend(pairs)
+            remaining = _without(remaining, pairs, len(seq))
 
     if remaining.size:  # pragma: no cover - every job reaches some root
         raise RuntimeError("GEN-OFFLINE left jobs unscheduled")
-    assignment = {seq[g]: key for g, key in emitted}
-    return Schedule(ladder, assignment)
+    return Schedule(ladder, {seq[g]: key for g, key in emitted})

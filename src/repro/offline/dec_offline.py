@@ -25,14 +25,10 @@ from __future__ import annotations
 import math
 
 from ..core.tolerance import TOLERANCE
-from ..jobs.job import Job
 from ..jobs.jobset import JobSet
 from ..machines.ladder import Ladder
-from ..placement.greedy import place_jobs
-from ..placement.strips import split_into_strips, two_color
-from ..schedule.schedule import MachineKey, Schedule
-from .columnar_peel import dec_offline_columnar, resolve_engine
-from .dual_coloring import dual_coloring_assign
+from ..schedule.schedule import Schedule
+from .columnar_peel import dec_offline_columnar
 
 __all__ = ["dec_offline", "strip_budget"]
 
@@ -57,7 +53,6 @@ def dec_offline(
     strip_divisor: float = 2.0,
     placement_order: str = "arrival",
     require_regime: bool = True,
-    engine: str = "auto",
 ) -> Schedule:
     """Run DEC-OFFLINE on an instance.
 
@@ -68,13 +63,11 @@ def dec_offline(
     strip_divisor:
         Strip height is ``g_i / strip_divisor`` (paper: 2); must be >= 2
         so a strip machine's load stays within capacity.
+    placement_order:
+        The placement phase's processing order (``"arrival"``, ``"size"``
+        or ``"duration"``; see :func:`~repro.placement.greedy.place_jobs`).
     require_regime:
         When true (default), reject ladders that are not BSHM-DEC.
-    engine:
-        ``"auto"`` (default) peels columnar above the PR-7 dispatch
-        threshold and stays on the object path below; ``"object"`` /
-        ``"columnar"`` force one engine.  Both produce byte-identical
-        schedules (pinned by the parity suite).
     """
     if strip_divisor < 2.0:
         raise ValueError("strip_divisor below 2 would overload strip machines")
@@ -85,56 +78,10 @@ def dec_offline(
         )
     if not jobs.empty and not ladder.fits(jobs.max_size):
         raise ValueError("an instance job exceeds the largest machine capacity")
-    if resolve_engine(engine, len(jobs), placement_order) == "columnar":
-        return dec_offline_columnar(
-            jobs, ladder, budget_factor=budget_factor, strip_divisor=strip_divisor
-        )
-
-    assignment: dict[Job, MachineKey] = {}
-    remaining = jobs
-    for i in range(1, ladder.m):
-        # strip-peeling eligibility cut: above the dispatch threshold this is
-        # one vectorized mask over the cached size column (core.vectorized),
-        # below it the per-job predicate — identical subsets either way
-        eligible = remaining.filter_max_size(ladder.capacity(i))
-        if eligible.empty:
-            continue
-        placement = place_jobs(eligible, order=placement_order)
-        strips = split_into_strips(placement, ladder.capacity(i) / strip_divisor)
-        budget = strip_budget(
-            ladder.rate(i + 1) / ladder.rate(i),
-            budget_factor * strip_divisor / 2.0,
-        )
-        inside_pairs, crossing_pairs = strips.bands_touching_bottom(budget)
-
-        for k, band in inside_pairs:
-            assignment[band.job] = MachineKey(i, ("it", i, "strip", k))
-        # two-color the crossing jobs boundary by boundary
-        by_boundary: dict[int, list] = {}
-        for k, band in crossing_pairs:
-            by_boundary.setdefault(k, []).append(band)
-        for k, bands in by_boundary.items():
-            colors = two_color(bands)
-            for band in bands:
-                assignment[band.job] = MachineKey(
-                    i, ("it", i, "cross", k, colors[band.job])
-                )
-        scheduled_now = JobSet(band.job for _, band in inside_pairs + crossing_pairs)
-        remaining = remaining.minus(scheduled_now)
-
-    # final iteration: everything left goes to type m, unbounded strips
-    if not remaining.empty:
-        assignment.update(
-            dual_coloring_assign(
-                remaining,
-                ladder.capacity(ladder.m),
-                ladder.m,
-                tag_prefix=("it", ladder.m),
-                strip_divisor=strip_divisor,
-                placement_order=placement_order,
-                # this run already resolved to the object engine; keep the
-                # oracle pure instead of re-dispatching on the subset size
-                engine="object",
-            )
-        )
-    return Schedule(ladder, assignment)
+    return dec_offline_columnar(
+        jobs,
+        ladder,
+        budget_factor=budget_factor,
+        strip_divisor=strip_divisor,
+        placement_order=placement_order,
+    )

@@ -15,14 +15,11 @@ INC-OFFLINE (per size class) and the final iteration of DEC-OFFLINE.
 
 from __future__ import annotations
 
-from ..core.tolerance import FINE_TOL
 from ..jobs.job import Job
 from ..jobs.jobset import JobSet
 from ..machines.ladder import Ladder
-from ..placement.greedy import place_jobs
-from ..placement.strips import split_into_strips, two_color
 from ..schedule.schedule import MachineKey, Schedule
-from .columnar_peel import columnar_dual_assign, resolve_engine
+from .columnar_peel import columnar_dual_assign
 
 __all__ = ["dual_coloring_assign", "dual_coloring_schedule"]
 
@@ -33,8 +30,6 @@ def dual_coloring_assign(
     type_index: int,
     tag_prefix: tuple = (),
     strip_divisor: float = 2.0,
-    placement_order: str = "arrival",
-    engine: str = "auto",
 ) -> dict[Job, MachineKey]:
     """Assign every job to a machine of one type via placement + strips.
 
@@ -43,37 +38,12 @@ def dual_coloring_assign(
     ``strip_divisor`` sets the strip height to ``capacity / strip_divisor``
     (the paper uses 2; values > 2 are only safe with divisor-aware callers
     because a strip machine packs up to two strips' worth of jobs).
-    ``engine`` picks the object or columnar pipeline (``"auto"``: columnar
-    above the PR-7 dispatch threshold; identical assignments either way).
     """
     if strip_divisor < 2.0:
         raise ValueError("strip_divisor below 2 would overload strip machines")
-    if resolve_engine(engine, len(jobs), placement_order) == "columnar":
-        return columnar_dual_assign(
-            jobs,
-            capacity,
-            type_index,
-            tag_prefix=tag_prefix,
-            strip_divisor=strip_divisor,
-        )
-    oversize = [j for j in jobs if j.size > capacity * (1 + FINE_TOL)]
-    if oversize:
-        raise ValueError(f"{len(oversize)} jobs exceed capacity {capacity}")
-    if jobs.empty:
-        return {}
-    placement = place_jobs(jobs, order=placement_order)
-    strips = split_into_strips(placement, capacity / strip_divisor)
-    assignment: dict[Job, MachineKey] = {}
-    for k, bands in strips.inside.items():
-        key = MachineKey(type_index, tag_prefix + ("strip", k))
-        for band in bands:
-            assignment[band.job] = key
-    for k, bands in strips.crossing.items():
-        colors = two_color(bands)
-        for band in bands:
-            key = MachineKey(type_index, tag_prefix + ("cross", k, colors[band.job]))
-            assignment[band.job] = key
-    return assignment
+    return columnar_dual_assign(
+        jobs, capacity, type_index, tag_prefix=tag_prefix, strip_divisor=strip_divisor
+    )
 
 
 def dual_coloring_schedule(jobs: JobSet, ladder: Ladder, type_index: int | None = None) -> Schedule:

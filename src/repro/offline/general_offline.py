@@ -25,14 +25,10 @@ from __future__ import annotations
 import math
 
 from ..core.tolerance import TOLERANCE
-from ..jobs.job import Job
 from ..jobs.jobset import JobSet
 from ..machines.ladder import Ladder
-from ..placement.greedy import place_jobs
-from ..placement.strips import split_into_strips, two_color
-from ..schedule.schedule import MachineKey, Schedule
-from .columnar_peel import general_offline_columnar, resolve_engine
-from .dual_coloring import dual_coloring_assign
+from ..schedule.schedule import Schedule
+from .columnar_peel import general_offline_columnar
 
 __all__ = ["general_offline", "node_strip_budget"]
 
@@ -43,62 +39,8 @@ def node_strip_budget(ladder: Ladder, node: int, parent: int, siblings: int) -> 
     return max(1, math.ceil(ratio / math.sqrt(siblings) - TOLERANCE))
 
 
-def general_offline(jobs: JobSet, ladder: Ladder, *, engine: str = "auto") -> Schedule:
-    """Run GEN-OFFLINE on an instance over an arbitrary ladder.
-
-    ``engine`` selects the object or columnar forest traversal (``"auto"``:
-    columnar above the PR-7 dispatch threshold; byte-identical schedules).
-    """
+def general_offline(jobs: JobSet, ladder: Ladder) -> Schedule:
+    """Run GEN-OFFLINE on an instance over an arbitrary ladder."""
     if not jobs.empty and not ladder.fits(jobs.max_size):
         raise ValueError("an instance job exceeds the largest machine capacity")
-    if resolve_engine(engine, len(jobs)) == "columnar":
-        return general_offline_columnar(jobs, ladder)
-
-    forest = ladder.forest()
-    capacities = ladder.capacities
-    assignment: dict[Job, MachineKey] = {}
-    remaining = jobs
-
-    for j in forest.postorder():
-        lo, hi = forest.subtree_span(j)
-        assert hi == j, "subtree roots carry the highest index of their span"
-        g_lo_prev = ladder.capacity(lo - 1)
-        g_j = ladder.capacity(j)
-        eligible = remaining.filter(lambda job: g_lo_prev < job.size <= g_j)
-        if eligible.empty:
-            continue
-
-        parent = forest.parent[j]
-        if parent is None:
-            # tree root: schedule everything on type j, unbounded strips
-            # (engine pinned: this run already resolved to the object path)
-            assignment.update(
-                dual_coloring_assign(
-                    eligible, g_j, j, tag_prefix=("node", j), engine="object"
-                )
-            )
-            remaining = remaining.minus(eligible)
-            continue
-
-        placement = place_jobs(eligible)
-        strips = split_into_strips(placement, g_j / 2.0)
-        budget = node_strip_budget(ladder, j, parent, forest.num_children(parent))
-        inside_pairs, crossing_pairs = strips.bands_touching_bottom(budget)
-
-        for k, band in inside_pairs:
-            assignment[band.job] = MachineKey(j, ("node", j, "strip", k))
-        by_boundary: dict[int, list] = {}
-        for k, band in crossing_pairs:
-            by_boundary.setdefault(k, []).append(band)
-        for k, bands in by_boundary.items():
-            colors = two_color(bands)
-            for band in bands:
-                assignment[band.job] = MachineKey(
-                    j, ("node", j, "cross", k, colors[band.job])
-                )
-        scheduled_now = JobSet(band.job for _, band in inside_pairs + crossing_pairs)
-        remaining = remaining.minus(scheduled_now)
-
-    if not remaining.empty:  # pragma: no cover - every job reaches some root
-        raise RuntimeError("GEN-OFFLINE left jobs unscheduled")
-    return Schedule(ladder, assignment)
+    return general_offline_columnar(jobs, ladder)

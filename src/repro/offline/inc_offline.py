@@ -11,30 +11,12 @@ optimal configuration at every instant; combined with the Dual-Coloring
 
 from __future__ import annotations
 
-from ..jobs.job import Job
 from ..jobs.jobset import JobSet
 from ..machines.ladder import Ladder
-from ..schedule.schedule import MachineKey, Schedule
-from .columnar_peel import inc_offline_columnar, resolve_engine
-from .dual_coloring import dual_coloring_assign
+from ..schedule.schedule import Schedule
+from .columnar_peel import inc_offline_columnar
 
-__all__ = ["inc_offline", "partitioned_assign"]
-
-
-def partitioned_assign(
-    jobs: JobSet, ladder: Ladder, engine: str = "auto"
-) -> dict[Job, MachineKey]:
-    """Dual-Coloring each size class on its own machine type."""
-    assignment: dict[Job, MachineKey] = {}
-    for i, cls in enumerate(jobs.size_partition(ladder.capacities), start=1):
-        if cls.empty:
-            continue
-        assignment.update(
-            dual_coloring_assign(
-                cls, ladder.capacity(i), i, tag_prefix=("class", i), engine=engine
-            )
-        )
-    return assignment
+__all__ = ["inc_offline"]
 
 
 def inc_offline(
@@ -42,14 +24,8 @@ def inc_offline(
     ladder: Ladder,
     *,
     require_regime: bool = True,
-    engine: str = "auto",
 ) -> Schedule:
-    """Run INC-OFFLINE on an instance.
-
-    ``engine`` selects the object or columnar partition-and-peel pipeline
-    (``"auto"``: columnar above the PR-7 dispatch threshold; the schedules
-    are byte-identical either way).
-    """
+    """Run INC-OFFLINE on an instance."""
     if require_regime and not ladder.is_inc:
         raise ValueError(
             f"ladder regime is {ladder.regime.value}, not BSHM-INC; "
@@ -57,8 +33,4 @@ def inc_offline(
         )
     if not jobs.empty and not ladder.fits(jobs.max_size):
         raise ValueError("an instance job exceeds the largest machine capacity")
-    if resolve_engine(engine, len(jobs)) == "columnar":
-        return inc_offline_columnar(jobs, ladder)
-    # this run resolved to the object engine: keep the oracle pure instead of
-    # re-dispatching per size class on the subset sizes
-    return Schedule(ladder, partitioned_assign(jobs, ladder, engine="object"))
+    return inc_offline_columnar(jobs, ladder)

@@ -3,17 +3,14 @@
 Public surface: the :class:`DemandChart` / :class:`Band` /
 :class:`Placement` geometry, the greedy altitude placer, the
 strip-splitting / two-coloring machinery behind the forest construction,
-and the array-native columnar twins of all of the above
+and the array-native columnar stages the offline engines run
 (:mod:`repro.placement.columnar`).
 """
 
 from .chart import Band, DemandChart, Placement
 from .columnar import (
     columnar_altitudes,
-    columnar_overflow_mask,
-    columnar_placement,
     columnar_strip_slices,
-    columnar_strip_tops,
     columnar_two_color,
 )
 from .greedy import GreedyDualPlacer, place_jobs
@@ -29,9 +26,6 @@ __all__ = [
     "split_into_strips",
     "two_color",
     "columnar_altitudes",
-    "columnar_overflow_mask",
-    "columnar_placement",
     "columnar_strip_slices",
-    "columnar_strip_tops",
     "columnar_two_color",
 ]

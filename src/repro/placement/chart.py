@@ -57,10 +57,8 @@ class Band:
 class DemandChart:
     """The demand profile of a job set, viewed as the placement region.
 
-    The height profile comes from :meth:`JobSet.demand_profile`, which
-    size-dispatches between the sweep kernels and the columnar
-    :mod:`repro.core.vectorized` path — so charts built during DEC-OFFLINE
-    strip peeling get the fast path for free on large instances.
+    The height profile comes from :meth:`JobSet.demand_profile`, which runs
+    the columnar :mod:`repro.core.vectorized` kernel at every size.
     """
 
     __slots__ = ("jobs", "height")

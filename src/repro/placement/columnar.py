@@ -1,11 +1,12 @@
-"""Columnar (array-native) twin of the greedy dual-placement pipeline.
+"""Columnar (array-native) placement stages: the offline engines' placer.
 
-The object path walks Python ``Band``/``Job`` instances one attribute access
-at a time: :class:`~repro.placement.greedy.GreedyDualPlacer` intersects
-coexisting band pairs, :func:`~repro.placement.strips.split_into_strips`
-re-derives strip indices per band, and :func:`~repro.placement.strips.
-two_color` rebuilds an active list per boundary.  This module re-expresses
-every stage directly on the ``JobSet.to_arrays()`` columns:
+The object path (:class:`~repro.placement.greedy.GreedyDualPlacer`,
+:func:`~repro.placement.strips.split_into_strips`,
+:func:`~repro.placement.strips.two_color`) walks Python ``Band``/``Job``
+instances and also tracks chart containment; it serves the E8/E17
+experiments, ``bshm chart`` and the visualizations.  The strip-peeling
+engines of :mod:`repro.offline.columnar_peel` run these stages directly on
+the ``JobSet.to_arrays()`` columns instead:
 
 - **altitude assignment** (:func:`columnar_altitudes`) — per arrival, the
   forbidden altitudes are exactly the depth >= 2 region of ONE
@@ -25,14 +26,9 @@ every stage directly on the ``JobSet.to_arrays()`` columns:
   ``_lowest_crossed_boundary``.
 - **two-coloring** (:func:`columnar_two_color`) — the greedy boundary
   2-coloring reduced to two scalar last-departure registers.
-- **containment limits** (:func:`columnar_overflow_mask`) — the chart
-  containment check as a vectorized range-minimum query over the demand
-  profile, replicating :meth:`StepFunction.min_on` exactly.
 
-Everything is bit-identical to the object path by construction — the parity
-is pinned by ``tests/property/test_columnar_parity.py`` (three-way:
-columnar <-> object <-> golden) and the object implementations stay in the
-tree as the differential oracle.
+Every stage is bit-identical to the object path by construction — the
+parity is pinned by ``tests/property/test_columnar_parity.py``.
 """
 
 from __future__ import annotations
@@ -42,17 +38,11 @@ from bisect import bisect_left, insort
 
 import numpy as np
 
-from ..core.stepfun import StepFunction
 from ..core.tolerance import FINE_TOL, TOLERANCE
-from ..jobs.jobset import JobSet
-from .chart import Band, DemandChart, Placement
 
 __all__ = [
     "columnar_altitudes",
-    "columnar_overflow_mask",
-    "columnar_placement",
     "columnar_strip_slices",
-    "columnar_strip_tops",
     "columnar_two_color",
 ]
 
@@ -67,8 +57,7 @@ def columnar_altitudes(
     :class:`~repro.placement.greedy.GreedyDualPlacer` in arrival order: the
     altitude only depends on the <= 2-overlap geometry of the active bands,
     never on the demand profile (the containment limit decides *overflow
-    bookkeeping*, not the chosen altitude — see
-    :func:`columnar_overflow_mask`).
+    bookkeeping*, not the chosen altitude).
     """
     n = int(np.asarray(starts).size)
     if n == 0:
@@ -139,61 +128,6 @@ def columnar_altitudes(
     return np.array(alt_l, dtype=np.float64)
 
 
-def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``values[lo[i]:hi[i]].min()`` for every query, via a sparse table.
-
-    Exact (min is order-independent), O(L log L) build + O(1) per query.
-    Requires ``hi > lo`` elementwise and indices within ``values``.
-    """
-    size = int(values.size)
-    table = [values]
-    j = 1
-    while (1 << j) <= size:
-        prev = table[-1]
-        half = 1 << (j - 1)
-        table.append(np.minimum(prev[: size - (1 << j) + 1], prev[half:]))
-        j += 1
-    lengths = hi - lo
-    ks = np.floor(np.log2(lengths)).astype(np.int64)
-    out = np.empty(lengths.size, dtype=np.float64)
-    for level in range(len(table)):
-        m = ks == level
-        if not m.any():
-            continue
-        span = 1 << level
-        out[m] = np.minimum(table[level][lo[m]], table[level][hi[m] - span])
-    return out
-
-
-def columnar_overflow_mask(
-    starts: np.ndarray,
-    ends: np.ndarray,
-    sizes: np.ndarray,
-    altitudes: np.ndarray,
-    profile: StepFunction,
-) -> np.ndarray:
-    """Which bands the object path records as containment overflow.
-
-    Replicates ``band.top > chart.min_height_on(I(J)) + TOLERANCE`` with the
-    same :meth:`StepFunction.min_on` semantics — intervals escaping the
-    profile's support count as limit 0 — but answers every job with one
-    vectorized range-minimum query instead of a per-job segment scan.
-    """
-    n = int(np.asarray(starts).size)
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    breaks = profile.breaks
-    values = profile.values
-    outside = (starts < breaks[0]) | (ends > breaks[-1])
-    limits = np.zeros(n, dtype=np.float64)
-    ins = ~outside
-    if ins.any():
-        lo = np.searchsorted(breaks, starts[ins], side="right") - 1
-        hi = np.searchsorted(breaks, ends[ins], side="left")
-        limits[ins] = _range_min(values, lo, hi)
-    return (altitudes + sizes) > (limits + TOLERANCE)
-
-
 def columnar_strip_slices(
     altitudes: np.ndarray, tops: np.ndarray, height: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -218,15 +152,6 @@ def columnar_strip_slices(
     crossing = k * h < tops - slack
     boundary = np.where(crossing, k, 0)
     return strip_index, boundary
-
-
-def columnar_strip_tops(tops: np.ndarray, height: float) -> np.ndarray:
-    """1 + index of the highest strip each band touches (vector
-    :func:`~repro.placement.strips.band_strip_top`)."""
-    h = float(height)
-    if h <= 0:
-        raise ValueError("strip height must be positive")
-    return np.maximum(1, np.ceil(tops / h - TOLERANCE).astype(np.int64))
 
 
 def columnar_two_color(
@@ -254,21 +179,3 @@ def columnar_two_color(
                 "the 2-overlap invariant was violated upstream"
             )
     return colors
-
-
-def columnar_placement(jobs: JobSet) -> Placement:
-    """Materialize a full :class:`Placement` from the columnar placer.
-
-    Diagnostic adapter: the strip-peeling engines never build ``Band``
-    objects; this exists so parity suites and notebooks can compare a whole
-    columnar placement against :func:`~repro.placement.greedy.place_jobs`.
-    """
-    arrays = jobs.to_arrays()
-    alts = columnar_altitudes(arrays.starts, arrays.ends, arrays.sizes)
-    chart = DemandChart(jobs)
-    overflow = columnar_overflow_mask(
-        arrays.starts, arrays.ends, arrays.sizes, alts, chart.height
-    )
-    bands = [Band(job, alt) for job, alt in zip(jobs, alts.tolist())]
-    overflowed = [job for job, over in zip(jobs, overflow.tolist()) if over]
-    return Placement(chart, bands, overflowed)

@@ -18,12 +18,8 @@ from typing import Iterable, Mapping
 from ..core.intervals import IntervalSet
 # the oracle import feeds cost_reference() only — Schedule deliberately
 # carries its own differential-test twin.  # bshm: ignore[BSHM003]
-from ..core.sweep import (
-    busy_union_reference,
-    sweep_busy_union,
-    sweep_grouped_busy_time,
-)
-from ..core.vectorized import use_vectorized, vec_grouped_busy_time
+from ..core.sweep import busy_union_reference
+from ..core.vectorized import vec_busy_union, vec_grouped_busy_time
 from ..jobs.job import Job
 from ..jobs.jobset import JobSet
 from ..machines.ladder import Ladder
@@ -109,7 +105,7 @@ class Schedule:
         if cached is None:
             jobs = (groups or self.by_machine()).get(key, [])
             if jobs:
-                cached = sweep_busy_union(
+                cached = vec_busy_union(
                     [j.arrival for j in jobs], [j.departure for j in jobs]
                 )
             else:
@@ -118,15 +114,11 @@ class Schedule:
         return cached
 
     def busy_times(self) -> dict[MachineKey, float]:
-        """Every machine's busy time from ONE merged event sweep (memoized).
+        """Every machine's busy time from ONE grouped sweep (memoized).
 
         All machines' intervals go through a single
-        :func:`~repro.core.sweep.sweep_grouped_busy_time` call —
-        ``O(N log N)`` total instead of one sort per machine.  Above the
-        dispatch threshold the grouped union runs on the block-offset
-        interval-merge kernel
-        (:func:`~repro.core.vectorized.vec_grouped_busy_time`): one stable
-        sort, no event queue — this is the busy-cost integration fast path.
+        :func:`~repro.core.vectorized.vec_grouped_busy_time` call — one
+        stable sort, ``O(N log N)`` total instead of one sort per machine.
         """
         cached = self._memo.get("busy_times")
         if cached is None:
@@ -140,10 +132,7 @@ class Schedule:
                     starts.append(job.arrival)
                     ends.append(job.departure)
                     gidx.append(gi)
-            if use_vectorized(len(starts)):
-                busy = vec_grouped_busy_time(starts, ends, gidx, len(keys))
-            else:
-                busy = sweep_grouped_busy_time(starts, ends, gidx, len(keys))
+            busy = vec_grouped_busy_time(starts, ends, gidx, len(keys))
             cached = {key: float(b) for key, b in zip(keys, busy)}
             self._memo["busy_times"] = cached
         return cached

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.sweep import sweep_peak_load
+from ..core.vectorized import vec_peak_load
 from ..core.timecmp import TIME_TOL
 from ..core.tolerance import TOLERANCE
 from ..jobs.jobset import JobSet
@@ -92,7 +92,7 @@ def validate_schedule(schedule: Schedule, instance: JobSet) -> FeasibilityReport
                 report.oversize_jobs.append((job, key))
         # event sweep with half-open semantics: a job departing at t and one
         # arriving at t share the machine sequentially, never concurrently
-        peak = sweep_peak_load(
+        peak = vec_peak_load(
             [j.arrival for j in jobs],
             [j.departure for j in jobs],
             [j.size for j in jobs],

@@ -10,25 +10,18 @@ Tolerances: the recorded values are already rounded (cost/LB to 3 decimals,
 ratio to 4 — see ``AlgorithmRun.row``), so the comparison allows one unit in
 the last recorded digit on top of genuine float noise.
 
-Each experiment is replayed twice: once on the default dispatch (quick-scale
-instances sit below :data:`repro.DEFAULT_VEC_THRESHOLD`, so this is the sweep
-tier) and once under ``dispatch_threshold(0)``, which forces every batch
-entry point onto the vectorized kernels *and* resolves the offline
-``engine="auto"`` dispatch to the columnar peel engines.  Both replays must
-land on the same recorded numbers — the tiers are interchangeable
-implementations of one cost model, and the golden file pins them jointly.
+The numbers were recorded before the vectorized kernels and the columnar
+peel engines became the only production path; each experiment replays
+once, on that path, and must still land on them.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
-from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
-
-from repro import dispatch_threshold
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_e1e5.json").read_text())
 
@@ -44,12 +37,9 @@ COST_TOL = 2e-3  # recorded to 3 decimals
 RATIO_TOL = 2e-4  # recorded to 4 decimals
 
 
-@pytest.mark.parametrize("tier", ["default", "vectorized"])
 @pytest.mark.parametrize("eid", sorted(GOLDEN))
-def test_golden_costs(eid, tier):
-    force_vec = dispatch_threshold(0) if tier == "vectorized" else nullcontext()
-    with force_vec:
-        result = importlib.import_module(MODULES[eid]).run(scale="quick")
+def test_golden_costs(eid):
+    result = importlib.import_module(MODULES[eid]).run(scale="quick")
     golden = GOLDEN[eid]
     assert result.passed == golden["passed"]
     assert len(result.rows) == len(golden["rows"])

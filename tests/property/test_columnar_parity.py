@@ -1,18 +1,21 @@
-"""The columnar placement/peeling engine is gated on exact parity.
+"""The columnar placement/peeling engines are gated on exact parity.
 
-Three-way: the columnar kernels must reproduce the object path
-(``GreedyDualPlacer`` / ``split_into_strips`` / ``two_color`` / the offline
-peeling loops) decision-for-decision — bit-identical altitudes, identical
-strip classification, identical colors, identical assignment dicts in the
-same insertion order, identical costs — and both must match hand-computed
-golden micro-cases.  Instances deliberately mix a continuous regime with an
-integer-grid regime so coincident altitudes and bands that land exactly on
-strip boundaries are drawn often, not once in a blue moon.
+The columnar kernels must reproduce the object path (``GreedyDualPlacer`` /
+``split_into_strips`` / ``two_color``, and the object peel loops kept as
+oracles in ``tests/offline/reference.py``) decision-for-decision —
+bit-identical altitudes, identical strip classification, identical colors,
+identical assignment dicts in the same insertion order, identical costs —
+and must match hand-computed golden micro-cases.  Instances deliberately
+mix a continuous regime with an integer-grid regime so coincident altitudes
+and bands that land exactly on strip boundaries are drawn often, not once
+in a blue moon.  The seeded cases at the bottom run the whole pipeline at
+sizes Hypothesis never draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from tests.property.settings import tiered
@@ -24,15 +27,17 @@ from repro.offline.general_offline import general_offline
 from repro.offline.inc_offline import inc_offline
 from repro.placement.columnar import (
     columnar_altitudes,
-    columnar_overflow_mask,
-    columnar_placement,
     columnar_strip_slices,
-    columnar_strip_tops,
     columnar_two_color,
 )
-from repro.placement.chart import DemandChart
 from repro.placement.greedy import place_jobs
-from repro.placement.strips import band_strip_top, split_into_strips, two_color
+from repro.placement.strips import split_into_strips, two_color
+from tests.offline.reference import (
+    dec_offline_reference,
+    dual_coloring_assign_reference,
+    general_offline_reference,
+    inc_offline_reference,
+)
 
 GENERAL_LADDER = Ladder.from_pairs(
     [(1.0, 1.0), (2.0, 3.0), (4.0, 4.0), (8.0, 20.0), (16.0, 21.0)]
@@ -71,9 +76,9 @@ def instances(draw, max_size: float, max_jobs: int = 50):
     return JobSet(jobs)
 
 
-def _assert_engine_parity(schedule_fn, jobs, ladder, **kwargs):
-    obj = schedule_fn(jobs, ladder, engine="object", **kwargs)
-    col = schedule_fn(jobs, ladder, engine="columnar", **kwargs)
+def _assert_engine_parity(schedule_fn, reference_fn, jobs, ladder, **kwargs):
+    obj = reference_fn(jobs, ladder, **kwargs)
+    col = schedule_fn(jobs, ladder, **kwargs)
     assert obj.assignment == col.assignment
     assert list(obj.assignment) == list(col.assignment)  # insertion order
     assert obj.cost() == col.cost()  # bit-identical, not approx
@@ -81,7 +86,7 @@ def _assert_engine_parity(schedule_fn, jobs, ladder, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# kernel-level parity: altitudes, overflow, strips, two-coloring
+# kernel-level parity: altitudes, strips, two-coloring
 # ---------------------------------------------------------------------------
 
 
@@ -92,20 +97,6 @@ def test_altitudes_parity(jobs):
     alts = columnar_altitudes(arrays.starts, arrays.ends, arrays.sizes)
     placement = place_jobs(jobs)
     assert alts.tolist() == [band.altitude for band in placement.bands]
-
-
-@tiered(60)
-@given(instances(max_size=8.0))
-def test_overflow_parity(jobs):
-    arrays = jobs.to_arrays()
-    alts = columnar_altitudes(arrays.starts, arrays.ends, arrays.sizes)
-    placement = place_jobs(jobs)
-    mask = columnar_overflow_mask(
-        arrays.starts, arrays.ends, arrays.sizes, alts, placement.chart.height
-    )
-    assert [job for job, over in zip(jobs, mask.tolist()) if over] == (
-        placement.overflowed
-    )
 
 
 @tiered(60)
@@ -126,11 +117,6 @@ def test_strip_classification_parity(jobs, height):
             assert band in assignment.inside[k]
         else:
             assert band in assignment.crossing[b]
-    tops = columnar_strip_tops(alts + arrays.sizes, height)
-    assert int(tops.max(initial=0)) == assignment.strips_used()
-    assert [band_strip_top(band, height) for band in placement.bands] == (
-        tops.tolist()
-    )
 
 
 @tiered(60)
@@ -148,17 +134,6 @@ def test_two_color_parity(jobs, height):
         assert got == [want[b.job] for b in ordered]
 
 
-@tiered(40)
-@given(instances(max_size=8.0))
-def test_columnar_placement_adapter_parity(jobs):
-    obj = place_jobs(jobs)
-    col = columnar_placement(jobs)
-    assert [(b.job, b.altitude) for b in col.bands] == (
-        [(b.job, b.altitude) for b in obj.bands]
-    )
-    assert col.overflowed == obj.overflowed
-
-
 # ---------------------------------------------------------------------------
 # full-pipeline parity: the offline peeling loops
 # ---------------------------------------------------------------------------
@@ -167,36 +142,48 @@ def test_columnar_placement_adapter_parity(jobs):
 @tiered(50)
 @given(instances(max_size=81.0, max_jobs=60))
 def test_dec_offline_engine_parity(jobs):
-    _assert_engine_parity(dec_offline, jobs, dec_ladder(5))
+    _assert_engine_parity(dec_offline, dec_offline_reference, jobs, dec_ladder(5))
 
 
 @tiered(50)
 @given(instances(max_size=5.0, max_jobs=60))
 def test_inc_offline_engine_parity(jobs):
-    _assert_engine_parity(inc_offline, jobs, inc_ladder(5))
+    _assert_engine_parity(inc_offline, inc_offline_reference, jobs, inc_ladder(5))
 
 
 @tiered(50)
 @given(instances(max_size=16.0, max_jobs=60))
 def test_general_offline_engine_parity(jobs):
-    _assert_engine_parity(general_offline, jobs, GENERAL_LADDER)
+    _assert_engine_parity(
+        general_offline, general_offline_reference, jobs, GENERAL_LADDER
+    )
+
+
+@tiered(30)
+@given(
+    instances(max_size=81.0, max_jobs=60),
+    st.sampled_from(["size", "duration"]),
+)
+def test_dec_offline_placement_order_parity(jobs, order):
+    """The E17 orders: the object placer's altitudes, peeled columnar."""
+    _assert_engine_parity(
+        dec_offline, dec_offline_reference, jobs, dec_ladder(5), placement_order=order
+    )
 
 
 @tiered(40)
 @given(instances(max_size=8.0, max_jobs=60))
 def test_dual_coloring_engine_parity(jobs):
-    obj = dual_coloring_assign(
-        jobs, capacity=8.0, type_index=3, tag_prefix=("p",), engine="object"
+    obj = dual_coloring_assign_reference(
+        jobs, capacity=8.0, type_index=3, tag_prefix=("p",)
     )
-    col = dual_coloring_assign(
-        jobs, capacity=8.0, type_index=3, tag_prefix=("p",), engine="columnar"
-    )
+    col = dual_coloring_assign(jobs, capacity=8.0, type_index=3, tag_prefix=("p",))
     assert obj == col
     assert list(obj) == list(col)
 
 
 # ---------------------------------------------------------------------------
-# golden micro-cases: hand-computed expectations pin BOTH engines
+# golden micro-cases: hand-computed expectations pin both placers
 # ---------------------------------------------------------------------------
 
 
@@ -278,29 +265,40 @@ class TestGolden:
         assert columnar_altitudes(
             arrays.starts, arrays.ends, arrays.sizes
         ).tolist() == [0.0]
-        sched_obj = dec_offline(one, dec_ladder(3), engine="object")
-        sched_col = dec_offline(one, dec_ladder(3), engine="columnar")
+        sched_obj = dec_offline_reference(one, dec_ladder(3))
+        sched_col = dec_offline(one, dec_ladder(3))
         assert sched_obj.assignment == sched_col.assignment
         empty = JobSet([])
-        assert dec_offline(empty, dec_ladder(3), engine="columnar").assignment == {}
+        assert dec_offline(empty, dec_ladder(3)).assignment == {}
 
 
-def test_engine_resolution_is_threshold_gated():
-    """engine="auto" picks columnar above the PR-7 dispatch threshold and the
-    object path below it; the outputs are interchangeable either way."""
-    from repro.core.vectorized import dispatch_threshold
-    from repro.offline.columnar_peel import resolve_engine
-
-    with dispatch_threshold(10):
-        assert resolve_engine("auto", 9) == "object"
-        assert resolve_engine("auto", 10) == "columnar"
-        assert resolve_engine("object", 10_000) == "object"
-        assert resolve_engine("columnar", 1) == "columnar"
+# ---------------------------------------------------------------------------
+# seeded instances on both sides of the old 4,096-job size dispatch
+# ---------------------------------------------------------------------------
 
 
-def test_forced_columnar_rejects_non_arrival_order():
-    from repro.offline.columnar_peel import resolve_engine
-    import pytest
+def _steady_workload(n: int, max_size: float, seed: int) -> JobSet:
+    """``n`` jobs with ~30 concurrent at any time (the horizon grows with n)."""
+    rng = np.random.default_rng(seed)
+    arrivals = rng.uniform(0.0, n / 2.0, size=n)
+    durations = rng.uniform(5.0, 25.0, size=n)
+    sizes = rng.uniform(0.05, max_size, size=n)
+    return JobSet(
+        Job(arrival=float(a), departure=float(a + d), size=float(s), uid=i)
+        for i, (a, d, s) in enumerate(zip(arrivals, durations, sizes))
+    )
 
-    with pytest.raises(ValueError):
-        resolve_engine("columnar", 100, placement_order="size")
+
+@pytest.mark.parametrize("n", [1500, 6000])
+@pytest.mark.parametrize(
+    "schedule_fn, reference_fn, ladder",
+    [
+        (dec_offline, dec_offline_reference, dec_ladder(5)),
+        (inc_offline, inc_offline_reference, inc_ladder(5)),
+        (general_offline, general_offline_reference, GENERAL_LADDER),
+    ],
+    ids=["dec", "inc", "gen"],
+)
+def test_engine_parity_at_scale(schedule_fn, reference_fn, ladder, n):
+    jobs = _steady_workload(n, ladder.capacity(ladder.m), seed=n)
+    _assert_engine_parity(schedule_fn, reference_fn, jobs, ladder)

@@ -1,10 +1,13 @@
-"""Differential tests: every sweep kernel against its naive ``*_reference``.
+"""Differential tests: the object-level accounting APIs against the naive
+``*_reference`` oracles.
 
-The sweep kernels in :mod:`repro.core.sweep` are the fast path for all cost
-accounting; the ``*_reference`` twins are the retired naive implementations.
-These property tests pin the two together: **exact** equality on integer
-inputs (where float arithmetic is exact), 1e-9 tolerance on float inputs
-(where only summation order differs).  ~200 Hypothesis examples per kernel.
+The entry points the rest of the program calls with Python objects —
+``sum_pulses``, the ``JobSet`` aggregates, ``BusyIntervalCache`` (the
+streaming runtime's cost), ``Schedule`` busy times and cost, and
+``sweep_nested_demand`` — are pinned to the retired naive implementations:
+**exact** equality on integer inputs (where float arithmetic is exact),
+1e-9 tolerance on float inputs (where only summation order differs).
+~200 Hypothesis examples per pair.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import (
+    BusyIntervalCache,
     Job,
+    JobSet,
     MachineKey,
     Schedule,
     busy_time_reference,
@@ -25,14 +30,10 @@ from repro import (
     grouped_busy_time_reference,
     nested_demand_reference,
     peak_load_reference,
+    single_type_ladder,
     sum_pulses,
     sum_pulses_reference,
-    sweep_busy_time,
-    sweep_busy_union,
-    sweep_demand_profile,
-    sweep_grouped_busy_time,
     sweep_nested_demand,
-    sweep_peak_load,
 )
 from tests.conftest import jobset_strategy
 
@@ -42,6 +43,23 @@ from tests.property.settings import tiered
 ORACLE = tiered(200)
 
 TOL = 1e-9
+
+
+def _jobset(starts, ends, sizes):
+    return JobSet(
+        Job(size=float(z), arrival=float(a), departure=float(b), uid=k)
+        for k, (a, b, z) in enumerate(zip(starts, ends, sizes))
+    )
+
+
+def _busy_time_with(starts, ends):
+    """The runtime's busy time: half the intervals recorded as closed, the
+    rest passed as still-open extras."""
+    cache = BusyIntervalCache()
+    pairs = list(zip(starts, ends))
+    for a, b in pairs[::2]:
+        cache.add("m", a, b)
+    return cache.busy_time_with("m", pairs[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +108,15 @@ class TestDemandProfileOracle:
     def test_exact_on_integers(self, batch):
         starts, ends, weights = batch
         pulses = list(zip(starts, ends, weights))
-        assert sweep_demand_profile(pulses) == demand_profile_reference(pulses)
+        profile = _jobset(starts, ends, weights).demand_profile()
+        assert profile == demand_profile_reference(pulses)
 
     @ORACLE
     @given(float_intervals())
     def test_pointwise_on_floats(self, batch):
         starts, ends, weights = batch
         pulses = list(zip(starts, ends, weights))
-        fast = sweep_demand_profile(pulses)
+        fast = _jobset(starts, ends, weights).demand_profile()
         ref = demand_profile_reference(pulses)
         for t in _profile_probes(fast, ref):
             assert fast(float(t)) == pytest.approx(ref(float(t)), abs=TOL, rel=TOL)
@@ -119,28 +138,30 @@ class TestBusyUnionOracle:
     @ORACLE
     @given(int_intervals())
     def test_union_exact_on_integers(self, batch):
-        starts, ends, _ = batch
-        assert sweep_busy_union(starts, ends) == busy_union_reference(starts, ends)
+        starts, ends, sizes = batch
+        span = _jobset(starts, ends, sizes).busy_span()
+        assert span == busy_union_reference(starts, ends)
 
     @ORACLE
     @given(float_intervals())
     def test_union_exact_on_floats(self, batch):
         # endpoints pass through both paths unchanged, so even the float
         # case is structurally exact — only derived *measures* can drift
-        starts, ends, _ = batch
-        assert sweep_busy_union(starts, ends) == busy_union_reference(starts, ends)
+        starts, ends, sizes = batch
+        span = _jobset(starts, ends, sizes).busy_span()
+        assert span == busy_union_reference(starts, ends)
 
     @ORACLE
     @given(int_intervals())
     def test_busy_time_exact_on_integers(self, batch):
         starts, ends, _ = batch
-        assert sweep_busy_time(starts, ends) == busy_time_reference(starts, ends)
+        assert _busy_time_with(starts, ends) == busy_time_reference(starts, ends)
 
     @ORACLE
     @given(float_intervals())
     def test_busy_time_on_floats(self, batch):
         starts, ends, _ = batch
-        assert sweep_busy_time(starts, ends) == pytest.approx(
+        assert _busy_time_with(starts, ends) == pytest.approx(
             busy_time_reference(starts, ends), rel=TOL, abs=TOL
         )
 
@@ -154,15 +175,14 @@ class TestPeakLoadOracle:
     @given(int_intervals())
     def test_exact_on_integers(self, batch):
         starts, ends, sizes = batch
-        assert sweep_peak_load(starts, ends, sizes) == peak_load_reference(
-            starts, ends, sizes
-        )
+        peak = _jobset(starts, ends, sizes).peak_demand()
+        assert peak == peak_load_reference(starts, ends, sizes)
 
     @ORACLE
     @given(float_intervals())
     def test_tolerance_on_floats(self, batch):
         starts, ends, sizes = batch
-        assert sweep_peak_load(starts, ends, sizes) == pytest.approx(
+        assert _jobset(starts, ends, sizes).peak_demand() == pytest.approx(
             peak_load_reference(starts, ends, sizes), rel=TOL, abs=TOL
         )
 
@@ -183,12 +203,23 @@ def grouped_batch(draw, intervals, max_groups: int = 5):
     return starts, ends, groups, n_groups
 
 
+def _schedule_busy_times(starts, ends, groups, n_groups):
+    """``Schedule.busy_times`` with group ``g`` on machine ``("m", g)``."""
+    jobs = _jobset(starts, ends, [1.0] * len(starts))
+    sched = Schedule(
+        single_type_ladder(),
+        {jobs[uid]: MachineKey(1, ("m", g)) for uid, g in enumerate(groups)},
+    )
+    busy = sched.busy_times()
+    return np.array([busy.get(MachineKey(1, ("m", g)), 0.0) for g in range(n_groups)])
+
+
 class TestGroupedBusyTimeOracle:
     @ORACLE
     @given(grouped_batch(int_intervals()))
     def test_exact_on_integers(self, batch):
         starts, ends, groups, n_groups = batch
-        fast = sweep_grouped_busy_time(starts, ends, groups, n_groups)
+        fast = _schedule_busy_times(starts, ends, groups, n_groups)
         ref = grouped_busy_time_reference(starts, ends, groups, n_groups)
         assert np.array_equal(fast, ref)
 
@@ -196,7 +227,7 @@ class TestGroupedBusyTimeOracle:
     @given(grouped_batch(float_intervals()))
     def test_tolerance_on_floats(self, batch):
         starts, ends, groups, n_groups = batch
-        fast = sweep_grouped_busy_time(starts, ends, groups, n_groups)
+        fast = _schedule_busy_times(starts, ends, groups, n_groups)
         ref = grouped_busy_time_reference(starts, ends, groups, n_groups)
         np.testing.assert_allclose(fast, ref, rtol=TOL, atol=TOL)
 

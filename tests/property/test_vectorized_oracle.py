@@ -1,11 +1,10 @@
-"""Three-way differential tests: vectorized vs sweep vs ``*_reference``.
+"""Differential tests: every vectorized kernel against a naive oracle.
 
-Every kernel in :mod:`repro.core.vectorized` is pinned against BOTH of the
-older tiers on shared inputs: the sweep kernel (the mid-size fast path) and
-the naive ``*_reference`` twin (the ground-truth oracle, BSHM003).  Exact
-equality on integer inputs, 1e-9 tolerance on floats — the same contract
-``tests/property/test_sweep_oracle.py`` enforces between the lower two
-tiers, extended up one level.
+Every kernel in :mod:`repro.core.vectorized` — the one production path for
+batch accounting — is pinned against the naive ``*_reference`` twin (the
+ground-truth oracle, BSHM003) or, where no public twin exists, a per-segment
+full scan written out here.  Exact equality on integer inputs, 1e-9
+tolerance on floats.
 
 The integer strategies draw coordinates from a tiny range on purpose: tied
 event times are the interesting case (they exercise ``_stable_order``'s
@@ -28,17 +27,9 @@ from repro import (
     busy_union_reference,
     demand_profile_reference,
     grouped_busy_time_reference,
-    merged_events,
     nested_demand_reference,
     peak_load_reference,
-    sweep_busy_time,
-    sweep_busy_union,
-    sweep_demand_profile,
-    sweep_grouped_busy_time,
     sweep_nested_demand,
-    sweep_peak_load,
-    vec_busy_cost,
-    vec_busy_time,
     vec_busy_union,
     vec_demand_profile,
     vec_event_steps,
@@ -48,7 +39,7 @@ from repro import (
 )
 from tests.property.settings import tiered
 
-# ci-tier baseline: ~200 examples per kernel triple
+# ci-tier baseline: ~200 examples per kernel pair
 ORACLE = tiered(200)
 
 TOL = 1e-9
@@ -123,6 +114,28 @@ def _job_columns(jobs):
     return s, e, z
 
 
+def _event_steps_naive(s, e, w):
+    """Distinct event times and the weight active on each segment, by a
+    full scan of every interval per segment."""
+    times = sorted(set(s.tolist()) | set(e.tolist()))
+    cover = [
+        sum(wi for a, b, wi in zip(s.tolist(), e.tolist(), w.tolist()) if a <= t < b)
+        for t in times[:-1]
+    ]
+    return np.asarray(times), np.asarray(cover, dtype=np.float64)
+
+
+def _peak_load_naive(s, e, w, time_tol):
+    """Peak load over the segments longer than ``time_tol``, by a full scan."""
+    times, cover = _event_steps_naive(s, e, w)
+    return float(cover[np.diff(times) > time_tol].max(initial=0.0))
+
+
+def _busy_time_grouped(s, e):
+    """Busy time of one batch through the grouped kernel, as one group."""
+    return float(vec_grouped_busy_time(s, e, np.zeros(s.size, dtype=np.int64), 1)[0])
+
+
 def _assert_nested_equal(vec, sweep, ref, *, exact: bool) -> None:
     for other in (sweep, ref):
         assert np.array_equal(vec[0], other[0])
@@ -143,18 +156,18 @@ class TestEventStepsOracle:
     def test_exact_on_integers(self, batch):
         s, e, w = batch
         vt, vc = vec_event_steps(s, e, w)
-        st_, sc = merged_events(s, e, w)
-        assert np.array_equal(vt, st_)
-        assert np.array_equal(vc, sc)
+        nt, nc = _event_steps_naive(s, e, w)
+        assert np.array_equal(vt, nt)
+        assert np.array_equal(vc, nc)
 
     @ORACLE
     @given(float_columns())
     def test_tolerance_on_floats(self, batch):
         s, e, w = batch
         vt, vc = vec_event_steps(s, e, w)
-        st_, sc = merged_events(s, e, w)
-        assert np.array_equal(vt, st_)
-        np.testing.assert_allclose(vc, sc, rtol=TOL, atol=TOL)
+        nt, nc = _event_steps_naive(s, e, w)
+        assert np.array_equal(vt, nt)
+        np.testing.assert_allclose(vc, nc, rtol=TOL, atol=TOL)
 
 
 class TestDemandProfileOracle:
@@ -163,9 +176,7 @@ class TestDemandProfileOracle:
     def test_exact_on_integers(self, batch):
         s, e, w = batch
         pulses = list(zip(s.tolist(), e.tolist(), w.tolist()))
-        vec = vec_demand_profile(s, e, w)
-        assert vec == sweep_demand_profile(pulses)
-        assert vec == demand_profile_reference(pulses)
+        assert vec_demand_profile(s, e, w) == demand_profile_reference(pulses)
 
     @ORACLE
     @given(float_columns())
@@ -173,16 +184,12 @@ class TestDemandProfileOracle:
         s, e, w = batch
         pulses = list(zip(s.tolist(), e.tolist(), w.tolist()))
         vec = vec_demand_profile(s, e, w)
-        for other in (sweep_demand_profile(pulses), demand_profile_reference(pulses)):
-            probes = np.unique(np.concatenate([vec.breaks, other.breaks]))
-            mids = (probes[:-1] + probes[1:]) / 2.0
-            for t in np.concatenate([probes, mids]):
-                assert vec(float(t)) == pytest.approx(
-                    other(float(t)), rel=TOL, abs=TOL
-                )
-            assert vec.integral() == pytest.approx(
-                other.integral(), rel=TOL, abs=TOL
-            )
+        ref = demand_profile_reference(pulses)
+        probes = np.unique(np.concatenate([vec.breaks, ref.breaks]))
+        mids = (probes[:-1] + probes[1:]) / 2.0
+        for t in np.concatenate([probes, mids]):
+            assert vec(float(t)) == pytest.approx(ref(float(t)), rel=TOL, abs=TOL)
+        assert vec.integral() == pytest.approx(ref.integral(), rel=TOL, abs=TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -193,36 +200,34 @@ class TestBusyTimeOracle:
     @ORACLE
     @given(int_columns())
     def test_exact_on_integers(self, batch):
+        # the union's measure (runtime busy time, workload stats) and the
+        # grouped kernel's one-group total (Schedule.cost)
         s, e, _ = batch
-        vec = vec_busy_time(s, e)
-        assert vec == sweep_busy_time(s, e)
-        assert vec == busy_time_reference(s, e)
+        ref = busy_time_reference(s, e)
+        assert vec_busy_union(s, e).length == ref
+        assert _busy_time_grouped(s, e) == ref
 
     @ORACLE
     @given(float_columns())
     def test_tolerance_on_floats(self, batch):
         s, e, _ = batch
-        vec = vec_busy_time(s, e)
-        assert vec == pytest.approx(sweep_busy_time(s, e), rel=TOL, abs=TOL)
-        assert vec == pytest.approx(busy_time_reference(s, e), rel=TOL, abs=TOL)
+        ref = busy_time_reference(s, e)
+        assert vec_busy_union(s, e).length == pytest.approx(ref, rel=TOL, abs=TOL)
+        assert _busy_time_grouped(s, e) == pytest.approx(ref, rel=TOL, abs=TOL)
 
     @ORACLE
     @given(int_columns())
     def test_union_structurally_exact(self, batch):
         s, e, _ = batch
-        vec = vec_busy_union(s, e)
-        assert vec == sweep_busy_union(s, e)
-        assert vec == busy_union_reference(s, e)
+        assert vec_busy_union(s, e) == busy_union_reference(s, e)
 
     @ORACLE
     @given(float_columns())
     def test_union_exact_on_floats(self, batch):
-        # endpoints pass through all three paths unchanged; only derived
+        # endpoints pass through both paths unchanged; only derived
         # *measures* can drift, and unions carry no arithmetic at all
         s, e, _ = batch
-        vec = vec_busy_union(s, e)
-        assert vec == sweep_busy_union(s, e)
-        assert vec == busy_union_reference(s, e)
+        assert vec_busy_union(s, e) == busy_union_reference(s, e)
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +239,28 @@ class TestPeakLoadOracle:
     @given(int_columns())
     def test_exact_on_integers(self, batch):
         s, e, w = batch
-        vec = vec_peak_load(s, e, w)
-        assert vec == sweep_peak_load(s, e, w)
-        assert vec == peak_load_reference(s, e, w)
+        assert vec_peak_load(s, e, w) == peak_load_reference(s, e, w)
 
     @ORACLE
     @given(float_columns())
     def test_tolerance_on_floats(self, batch):
         s, e, w = batch
-        vec = vec_peak_load(s, e, w)
-        assert vec == pytest.approx(sweep_peak_load(s, e, w), rel=TOL, abs=TOL)
-        assert vec == pytest.approx(peak_load_reference(s, e, w), rel=TOL, abs=TOL)
+        assert vec_peak_load(s, e, w) == pytest.approx(
+            peak_load_reference(s, e, w), rel=TOL, abs=TOL
+        )
 
     @ORACLE
     @given(int_columns(), st.floats(0.0, 2.0))
     def test_time_tol_path_matches_sweep(self, batch, tol):
-        # the sliver-filtering branch has no naive reference; pin it to the
-        # sweep kernel, whose time_tol semantics are the documented contract
+        # the sliver-filtering branch (validate_schedule's capacity check)
+        # against a naive sweep: a full scan of every segment longer than
+        # the tolerance
         s, e, w = batch
-        assert vec_peak_load(s, e, w, time_tol=tol) == sweep_peak_load(
-            s, e, w, time_tol=tol
-        )
+        assert vec_peak_load(s, e, w, time_tol=tol) == _peak_load_naive(s, e, w, tol)
 
 
 # ---------------------------------------------------------------------------
-# grouped busy time and the busy-cost contraction
+# grouped busy time (the busy-cost integrator)
 # ---------------------------------------------------------------------------
 
 class TestGroupedBusyTimeOracle:
@@ -266,30 +268,21 @@ class TestGroupedBusyTimeOracle:
     @given(grouped_columns(int_columns()))
     def test_exact_on_integers(self, batch):
         s, e, g, n_groups = batch
-        vec = vec_grouped_busy_time(s, e, g, n_groups)
-        assert np.array_equal(vec, sweep_grouped_busy_time(s, e, g, n_groups))
-        assert np.array_equal(vec, grouped_busy_time_reference(s, e, g, n_groups))
+        assert np.array_equal(
+            vec_grouped_busy_time(s, e, g, n_groups),
+            grouped_busy_time_reference(s, e, g, n_groups),
+        )
 
     @ORACLE
     @given(grouped_columns(float_columns()))
     def test_tolerance_on_floats(self, batch):
         s, e, g, n_groups = batch
-        vec = vec_grouped_busy_time(s, e, g, n_groups)
         np.testing.assert_allclose(
-            vec, sweep_grouped_busy_time(s, e, g, n_groups), rtol=TOL, atol=TOL
+            vec_grouped_busy_time(s, e, g, n_groups),
+            grouped_busy_time_reference(s, e, g, n_groups),
+            rtol=TOL,
+            atol=TOL,
         )
-        np.testing.assert_allclose(
-            vec, grouped_busy_time_reference(s, e, g, n_groups), rtol=TOL, atol=TOL
-        )
-
-    @ORACLE
-    @given(grouped_columns(int_columns()))
-    def test_busy_cost_is_the_rate_contraction(self, batch):
-        s, e, g, n_groups = batch
-        rates = np.arange(1.0, n_groups + 1.0)
-        cost = vec_busy_cost(s, e, g, rates)
-        ref = float(np.dot(grouped_busy_time_reference(s, e, g, n_groups), rates))
-        assert cost == pytest.approx(ref, rel=TOL, abs=TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +315,13 @@ class TestEdgeCases:
     def test_empty_batch(self):
         times, cover = vec_event_steps(EMPTY, EMPTY)
         assert np.array_equal(times, np.zeros(1)) and cover.size == 0
-        assert vec_busy_time(EMPTY, EMPTY) == 0.0
+        assert _busy_time_grouped(EMPTY, EMPTY) == 0.0
         assert vec_busy_union(EMPTY, EMPTY).length == 0.0
         assert vec_peak_load(EMPTY, EMPTY, EMPTY) == 0.0
         assert np.array_equal(
             vec_grouped_busy_time(EMPTY, EMPTY, np.zeros(0, dtype=np.int64), 3),
             np.zeros(3),
         )
-        assert vec_busy_cost(EMPTY, EMPTY, [], [2.0, 3.0]) == 0.0
         times, active, demand = vec_nested_demand(EMPTY, EMPTY, EMPTY, [1.0, 2.0])
         ref = sweep_nested_demand([], [1.0, 2.0])
         assert np.array_equal(times, ref[0])
@@ -339,7 +331,7 @@ class TestEdgeCases:
 
     def test_single_job(self):
         s, e, w = np.array([2.0]), np.array([7.0]), np.array([1.5])
-        assert vec_busy_time(s, e) == 5.0
+        assert _busy_time_grouped(s, e) == 5.0
         assert vec_peak_load(s, e, w) == 1.5
         assert vec_busy_union(s, e) == busy_union_reference(s, e)
         profile = vec_demand_profile(s, e, w)
@@ -362,19 +354,19 @@ class TestEdgeCases:
         s = np.array([0.0, 5.0, 5.0, 10.0])
         e = np.array([5.0, 10.0, 10.0, 15.0])
         w = np.array([2.0, 3.0, 1.0, 2.0])
-        assert vec_busy_time(s, e) == 15.0
+        assert _busy_time_grouped(s, e) == 15.0
         assert vec_peak_load(s, e, w) == peak_load_reference(s, e, w) == 4.0
         assert vec_busy_union(s, e) == busy_union_reference(s, e)
         times, cover = vec_event_steps(s, e, w)
-        st_, sc = merged_events(s, e, w)
-        assert np.array_equal(times, st_) and np.array_equal(cover, sc)
+        nt, nc = _event_steps_naive(s, e, w)
+        assert np.array_equal(times, nt) and np.array_equal(cover, nc)
 
     def test_identical_jobs_all_tied(self):
         # every event time tied: _stable_order's fallback path end to end
         s = np.full(8, 3.0)
         e = np.full(8, 9.0)
         w = np.full(8, 0.5)
-        assert vec_busy_time(s, e) == 6.0
+        assert _busy_time_grouped(s, e) == 6.0
         assert vec_peak_load(s, e, w) == 4.0
         assert vec_demand_profile(s, e, w) == demand_profile_reference(
             list(zip(s, e, w))
@@ -386,8 +378,8 @@ class TestEdgeCases:
         s = np.array([0.0, 1.0e12, 1.0e12 + 0.5, 2.0e12])
         e = np.array([1.0, 1.0e12 + 1.0, 1.0e12 + 1.5, 2.0e12 + 1.0])
         w = np.array([1.0, 2.0, 3.0, 4.0])
-        assert vec_busy_time(s, e) == sweep_busy_time(s, e)
-        assert vec_busy_time(s, e) == busy_time_reference(s, e)
+        assert _busy_time_grouped(s, e) == busy_time_reference(s, e)
+        assert vec_busy_union(s, e).length == busy_time_reference(s, e)
         assert vec_peak_load(s, e, w) == peak_load_reference(s, e, w) == 5.0
         assert vec_busy_union(s, e) == busy_union_reference(s, e)
         g = np.array([0, 1, 1, 0], dtype=np.int64)
@@ -401,13 +393,13 @@ class TestEdgeCases:
         s = np.array([0.0, 1.0e12])
         e = np.array([2.0e12, 1.0e12 + 1.0])
         w = np.array([1.0, 1.0])
-        assert vec_busy_time(s, e) == 2.0e12
+        assert _busy_time_grouped(s, e) == 2.0e12
         assert vec_peak_load(s, e, w) == 2.0
         assert vec_busy_union(s, e) == busy_union_reference(s, e)
 
     def test_rejects_malformed_batches(self):
         with pytest.raises(ValueError):
-            vec_busy_time(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+            vec_event_steps(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             vec_peak_load(np.array([0.0]), np.array([1.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):

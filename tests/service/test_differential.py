@@ -74,7 +74,7 @@ def test_streaming_equals_batch(gen_name, sched_name):
     }
     assert_feasible(streamed, jobs)
     # the running accumulator agrees with the finished schedule (different
-    # sweep kernels: per-machine union vs one grouped sweep — bit-equality
+    # kernels: per-machine segment sums vs one grouped sweep — bit-equality
     # is not guaranteed between them, only between like kernels)
     assert runtime.cost() == pytest.approx(streamed.cost(), rel=1e-12, abs=1e-12)
 

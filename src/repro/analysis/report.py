@@ -63,12 +63,12 @@ def schedule_report(
     lines.append("")
     groups = schedule.by_machine()
     busiest = sorted(
-        groups, key=lambda key: -schedule.machine_cost(key, groups)
+        groups, key=lambda key: -schedule.machine_cost(key)
     )[:10]
     lines.append("| machine | jobs | busy time | cost |")
     lines.append("|---|---|---|---|")
     for key in busiest:
-        busy = schedule.busy_set(key, groups).length
+        busy = schedule.busy_set(key).length
         lines.append(
             f"| {key} | {len(groups[key])} | {busy:.3f} "
             f"| {busy * ladder.rate(key.type_index):.3f} |"

@@ -17,8 +17,8 @@ dict capturing exactly what the interprocedural rules need —
 Facts being plain dicts is load-bearing: the incremental cache
 (``.bshm_cache/``) persists them per file keyed by content hash, so a
 warm run rebuilds the project symbol table and call graph without
-re-parsing a single unchanged file — that is where the >=5x warm
-speedup pinned by ``BENCH_check.json`` comes from.
+re-parsing a single unchanged file, which is what makes a warm run
+cheaper than a cold one.
 
 A :class:`Project` aggregates the facts of every non-test module into
 the symbol table the call graph (:mod:`.callgraph`) and the

@@ -36,6 +36,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from pathlib import Path
@@ -168,12 +169,20 @@ def _cmd_schedule(
     )
     if failed:
         return failed
-    jobs = read_jobs_csv(trace)
-    ladder = read_ladder_csv(ladder_path)
+    try:
+        jobs = read_jobs_csv(trace)
+        ladder = read_ladder_csv(ladder_path)
+    except (ValueError, csv.Error) as exc:
+        return _fail(str(exc))
     from .jobs.lint import lint_instance
 
     for warning in lint_instance(jobs, ladder):
         print(f"warning: {warning}")
+    if not jobs.empty and not ladder.fits(jobs.max_size):
+        return _fail(
+            f"job size {jobs.max_size:g} exceeds the largest capacity "
+            f"{ladder.capacity(ladder.m):g} of {ladder_path}"
+        )
     regime = ladder.regime
     if algorithm == "auto":
         algorithm = {
@@ -275,8 +284,11 @@ def _cmd_recommend(trace: str, ladder_path: str, max_types: int | None, estimate
     )
     if failed:
         return failed
-    jobs = read_jobs_csv(trace)
-    catalogue = read_ladder_csv(ladder_path)
+    try:
+        jobs = read_jobs_csv(trace)
+        catalogue = read_ladder_csv(ladder_path)
+    except (ValueError, csv.Error) as exc:
+        return _fail(str(exc))
     rec = recommend_subset(jobs, catalogue, estimate=estimate, max_types=max_types)
     print(f"instance: {len(jobs)} jobs; catalogue: {catalogue.m} types; estimate: {estimate}")
     print(f"recommended types: {list(rec.enabled_indices)}  (cost {rec.cost:.4f})")
@@ -319,7 +331,10 @@ def _cmd_serve(
     if failed:
         return failed
     if ladder_path:
-        ladder = read_ladder_csv(ladder_path)
+        try:
+            ladder = read_ladder_csv(ladder_path)
+        except (ValueError, csv.Error) as exc:
+            return _fail(str(exc))
     else:
         makers = {
             "dec": lambda: catalog.dec_ladder(m),
@@ -516,8 +531,11 @@ def _cmd_lint(trace: str, ladder_path: str | None) -> int:
     )
     if failed:
         return failed
-    jobs = read_jobs_csv(trace)
-    ladder = read_ladder_csv(ladder_path) if ladder_path else None
+    try:
+        jobs = read_jobs_csv(trace)
+        ladder = read_ladder_csv(ladder_path) if ladder_path else None
+    except (ValueError, csv.Error) as exc:
+        return _fail(str(exc))  # exit 2: exit 1 means "warnings found"
     warnings = lint_instance(jobs, ladder)
     for warning in warnings:
         print(f"warning: {warning}")

@@ -10,12 +10,26 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 from ..core.intervals import Interval
 
-__all__ = ["Job"]
+__all__ = ["Job", "reserve_uids"]
 
 _uid_counter = itertools.count()
+
+
+def reserve_uids(n: int) -> range:
+    """Take ``n`` consecutive uids from the counter that numbers new jobs.
+
+    Item ``k`` of the block is the uid the ``k``-th of ``n`` back-to-back
+    ``Job()`` calls would have received; the counter is advanced in one
+    C-level step, so the block is contiguous.
+    """
+    if n <= 0:
+        return range(0)
+    (last,) = deque(itertools.islice(_uid_counter, n), maxlen=1)
+    return range(last - n + 1, last + 1)
 
 
 class Job:

@@ -16,7 +16,7 @@ Used by the CLI before scheduling; returns a list of warning strings
 
 from __future__ import annotations
 
-from collections import Counter
+import numpy as np
 
 from ..machines.ladder import Ladder
 from .jobset import JobSet
@@ -25,13 +25,17 @@ __all__ = ["lint_instance"]
 
 
 def lint_instance(jobs: JobSet, ladder: Ladder | None = None) -> list[str]:
-    """Return a list of warnings (empty when the instance looks healthy)."""
+    """Return a list of warnings (empty when the instance looks healthy).
+
+    Every check reads the set's columns, so linting a trace builds no
+    ``Job`` objects.
+    """
     warnings: list[str] = []
     if jobs.empty:
         return ["instance is empty"]
 
-    durations = [j.duration for j in jobs]
-    min_dur, max_dur = min(durations), max(durations)
+    a = jobs.to_arrays()
+    min_dur, max_dur = jobs.min_duration, jobs.max_duration
     if min_dur < 1e-6 * max_dur:
         warnings.append(
             f"duration spread is extreme: shortest {min_dur:g} vs longest "
@@ -43,8 +47,13 @@ def lint_instance(jobs: JobSet, ladder: Ladder | None = None) -> list[str]:
             "linearly in mu"
         )
 
-    triples = Counter((j.size, j.arrival, j.departure) for j in jobs)
-    dupes = sum(c - 1 for c in triples.values() if c > 1)
+    # exact duplicates: rows equal to their predecessor in (size, arrival,
+    # departure) order; == makes -0.0 and 0.0 one value, as a Counter does
+    order = np.lexsort((a.ends, a.starts, a.sizes))
+    s, t0, t1 = a.sizes[order], a.starts[order], a.ends[order]
+    dupes = int(
+        np.count_nonzero((s[1:] == s[:-1]) & (t0[1:] == t0[:-1]) & (t1[1:] == t1[:-1]))
+    )
     if dupes:
         warnings.append(
             f"{dupes} jobs are exact duplicates of another (size, arrival, "
@@ -52,14 +61,14 @@ def lint_instance(jobs: JobSet, ladder: Ladder | None = None) -> list[str]:
         )
 
     if ladder is not None:
-        oversize = [j for j in jobs if j.size > ladder.capacity(ladder.m)]
+        oversize = int(np.count_nonzero(a.sizes > ladder.capacity(ladder.m)))
         if oversize:
             warnings.append(
-                f"{len(oversize)} jobs exceed the largest capacity "
+                f"{oversize} jobs exceed the largest capacity "
                 f"{ladder.capacity(ladder.m):g} and cannot be scheduled"
             )
-        tiny = [j for j in jobs if j.size < 0.001 * ladder.capacity(1)]
-        if len(tiny) > len(jobs) // 2:
+        tiny = int(np.count_nonzero(a.sizes < 0.001 * ladder.capacity(1)))
+        if tiny > len(jobs) // 2:
             warnings.append(
                 "most job sizes are below 0.1% of the smallest capacity; "
                 "suspected unit mismatch between trace and catalogue"

@@ -22,8 +22,7 @@ while returning the **bit-identical** machine the scan would have chosen:
   could choose; single-job (Group B) pools use *only* this heap.
 
 Correctness against the retained linear scan is pinned by
-``tests/property/test_placement_parity.py``; speed by
-``benchmarks/bench_placement.py``.
+``tests/property/test_placement_parity.py``.
 """
 
 from __future__ import annotations

@@ -5,15 +5,17 @@ into ``g_i / 2`` strips, charge the bottom ``B_i`` strips, roll the rest
 over — and the engines here run it on the ``JobSet.to_arrays()`` columns at
 every instance size: roll-over sets are index arrays into the canonical
 columns, altitudes come from
-:func:`~repro.placement.columnar.columnar_altitudes`, and ``Job`` objects
-are only touched once at the very end when the assignment dict is built for
-:class:`~repro.schedule.schedule.Schedule`.
+:func:`~repro.placement.columnar.columnar_altitudes`, and the result is
+emitted as :class:`~repro.schedule.schedule.Schedule` columns (a position
+and a machine id per job, one ``MachineKey`` per machine).  No ``Job``
+object is touched, except by the object placer the E17 orders use.
 
-**Emission order is part of the contract.**  ``Schedule.cost()`` sums busy
-times in assignment insertion order, so each iteration emits all
-inside-strip keys first (strips in first-seen order over the placement's
-processing order, filtered by budget) and then the crossing keys boundary
-by boundary — the dict-iteration order of
+**Emission order is part of the contract.**  ``Schedule.cost()`` numbers
+machines first-seen over the emission order and sums their busy times in
+that order, so each iteration emits all inside-strip keys first (strips in
+first-seen order over the placement's processing order, filtered by
+budget) and then the crossing keys boundary by boundary — the
+dict-iteration order of
 ``StripAssignment.bands_touching_bottom`` plus ``two_color``.  The object
 peel loops in ``tests/offline/reference.py`` are the differential oracle
 (``tests/property/test_columnar_parity.py``).
@@ -43,17 +45,38 @@ __all__ = [
 ]
 
 
+class _Emission:
+    """The schedule columns one engine run grows: the canonical position of
+    each job in emission order, its machine id, and the machine table
+    (:meth:`Schedule.from_columns`).  One ``MachineKey`` per machine."""
+
+    __slots__ = ("order", "machine", "keys")
+
+    def __init__(self) -> None:
+        self.order: list[int] = []
+        self.machine: list[int] = []
+        self.keys: list[MachineKey] = []
+
+    def open(self, key: MachineKey) -> int:
+        """Add a machine to the table; returns its id."""
+        self.keys.append(key)
+        return len(self.keys) - 1
+
+    def schedule(self, ladder: Ladder, jobs: JobSet) -> Schedule:
+        return Schedule.from_columns(ladder, jobs, self.order, self.machine, self.keys)
+
+
 def _placed(
-    seq: tuple[Job, ...],
+    jobs: JobSet,
     idx: np.ndarray,
     sub_starts: np.ndarray,
     sub_ends: np.ndarray,
     sub_sizes: np.ndarray,
     order: str,
 ) -> tuple[np.ndarray, list[int] | None]:
-    """Band altitudes of the jobs ``seq[idx]`` (whose columns are ``sub_*``)
-    and the placement's processing sequence of positions in ``idx``
-    (``None``: arrival order).
+    """Band altitudes of the jobs at canonical positions ``idx`` (whose
+    columns are ``sub_*``) and the placement's processing sequence of
+    positions in ``idx`` (``None``: arrival order).
 
     Arrival order runs the columnar placer.  The largest-first and
     longest-first orders (the E17 ablation) run the object placer on the
@@ -61,6 +84,7 @@ def _placed(
     """
     if order == "arrival":
         return columnar_altitudes(sub_starts, sub_ends, sub_sizes), None
+    seq = jobs.jobs
     subset = tuple(seq[g] for g in idx.tolist())
     local = {job.uid: i for i, job in enumerate(subset)}
     alts = np.empty(len(subset))
@@ -73,26 +97,26 @@ def _placed(
 
 
 def _peel(
-    seq: tuple[Job, ...],
-    starts: np.ndarray,
-    ends: np.ndarray,
-    sizes: np.ndarray,
+    jobs: JobSet,
     idx: np.ndarray,
     height: float,
     budget: int | None,
     type_index: int,
     tag_prefix: tuple,
+    out: _Emission,
     order: str = "arrival",
-) -> list[tuple[int, MachineKey]]:
-    """Place the jobs ``idx``, slice the chart into strips of ``height`` and
-    emit ``(global_index, machine_key)`` for every band touching the bottom
-    ``budget`` strips (``None``: unbounded strips, i.e. Dual-Coloring), in
-    the object peel loop's exact insertion order.
+) -> list[int]:
+    """Place the jobs at canonical positions ``idx``, slice the chart into
+    strips of ``height`` and emit every band touching the bottom ``budget``
+    strips (``None``: unbounded strips, i.e. Dual-Coloring) into ``out``, in
+    the object peel loop's exact insertion order.  Returns the positions
+    emitted.
     """
-    sub_starts = starts[idx]
-    sub_ends = ends[idx]
-    sub_sizes = sizes[idx]
-    alts, processed = _placed(seq, idx, sub_starts, sub_ends, sub_sizes, order)
+    a = jobs.to_arrays()
+    sub_starts = a.starts[idx]
+    sub_ends = a.ends[idx]
+    sub_sizes = a.sizes[idx]
+    alts, processed = _placed(jobs, idx, sub_starts, sub_ends, sub_sizes, order)
     strip_index, boundary = columnar_strip_slices(alts, alts + sub_sizes, height)
     strips = strip_index.tolist()
     bounds = boundary.tolist()
@@ -106,12 +130,13 @@ def _peel(
             inside_groups.setdefault(strips[i], []).append(i)
 
     globals_ = idx.tolist()
-    pairs: list[tuple[int, MachineKey]] = []
+    emitted: list[int] = []
     for k, members in inside_groups.items():
         if budget is not None and not k < budget:
             continue
-        key = MachineKey(type_index, tag_prefix + ("strip", k))
-        pairs.extend((globals_[i], key) for i in members)
+        m = out.open(MachineKey(type_index, tag_prefix + ("strip", k)))
+        emitted.extend(globals_[i] for i in members)
+        out.machine.extend([m] * len(members))
     arrivals = sub_starts.tolist()
     departures = sub_ends.tolist()
     for k, members in cross_groups.items():
@@ -126,43 +151,46 @@ def _peel(
                 ),
             )
         )
-        pairs.extend(
-            (globals_[i], MachineKey(type_index, tag_prefix + ("cross", k, colors[i])))
-            for i in members
-        )
-    return pairs
+        # the two machines are numbered in the order of their first job
+        ids: dict[int, int] = {}
+        for i in members:
+            color = colors[i]
+            if color not in ids:
+                ids[color] = out.open(
+                    MachineKey(type_index, tag_prefix + ("cross", k, color))
+                )
+            out.machine.append(ids[color])
+        emitted.extend(globals_[i] for i in members)
+    out.order.extend(emitted)
+    return emitted
 
 
-def _without(
-    remaining: np.ndarray, pairs: list[tuple[int, MachineKey]], n: int
-) -> np.ndarray:
-    """``remaining`` minus the jobs scheduled in ``pairs``, order kept."""
+def _without(remaining: np.ndarray, emitted: list[int], n: int) -> np.ndarray:
+    """``remaining`` minus the positions ``emitted``, order kept."""
     gone = np.zeros(n, dtype=bool)
-    gone[[g for g, _ in pairs]] = True
+    gone[emitted] = True
     return remaining[~gone[remaining]]
 
 
 def _dual_emit(
-    seq: tuple[Job, ...],
-    starts: np.ndarray,
-    ends: np.ndarray,
-    sizes: np.ndarray,
+    jobs: JobSet,
     idx: np.ndarray,
     capacity: float,
     type_index: int,
     tag_prefix: tuple,
+    out: _Emission,
     strip_divisor: float = 2.0,
     order: str = "arrival",
-) -> list[tuple[int, MachineKey]]:
-    """Dual-Coloring one index subset; returns ``(global_index, key)`` pairs."""
-    oversize = int(np.count_nonzero(sizes[idx] > capacity * (1 + FINE_TOL)))
+) -> list[int]:
+    """Dual-Coloring the jobs at canonical positions ``idx`` into ``out``;
+    returns the positions emitted."""
+    oversize = int(np.count_nonzero(jobs.to_arrays().sizes[idx] > capacity * (1 + FINE_TOL)))
     if oversize:
         raise ValueError(f"{oversize} jobs exceed capacity {capacity}")
     if idx.size == 0:
         return []
     return _peel(
-        seq, starts, ends, sizes, idx, capacity / strip_divisor, None,
-        type_index, tag_prefix, order,
+        jobs, idx, capacity / strip_divisor, None, type_index, tag_prefix, out, order
     )
 
 
@@ -176,20 +204,18 @@ def columnar_dual_assign(
     """Dual-Coloring of a whole job set on one machine type (caller
     validates ``strip_divisor``; see
     :func:`~repro.offline.dual_coloring.dual_coloring_assign`)."""
-    arrays = jobs.to_arrays()
-    seq = jobs.jobs
-    emitted = _dual_emit(
-        seq,
-        arrays.starts,
-        arrays.ends,
-        arrays.sizes,
-        np.arange(len(seq), dtype=np.int64),
+    out = _Emission()
+    _dual_emit(
+        jobs,
+        np.arange(len(jobs), dtype=np.int64),
         capacity,
         type_index,
         tuple(tag_prefix),
+        out,
         strip_divisor,
     )
-    return {seq[g]: key for g, key in emitted}
+    seq = jobs.jobs
+    return {seq[g]: out.keys[m] for g, m in zip(out.order, out.machine)}
 
 
 def dec_offline_columnar(
@@ -204,15 +230,14 @@ def dec_offline_columnar(
 
     Roll-over jobs are carried as an index array into the canonical columns;
     the per-iteration eligibility cut ``s(J) <= g_i`` is one boolean mask,
-    and no ``Job`` object is touched until the final assignment dict.
+    and the schedule is emitted as columns: no ``Job`` object is touched.
     """
     from .dec_offline import strip_budget  # deferred: dec_offline imports this module
 
-    arrays = jobs.to_arrays()
-    starts, ends, sizes = arrays.starts, arrays.ends, arrays.sizes
-    seq = jobs.jobs
-    remaining = np.arange(len(seq), dtype=np.int64)
-    emitted: list[tuple[int, MachineKey]] = []
+    sizes = jobs.to_arrays().sizes
+    n = len(jobs)
+    remaining = np.arange(n, dtype=np.int64)
+    out = _Emission()
 
     for i in range(1, ladder.m):
         eligible = remaining[sizes[remaining] <= ladder.capacity(i)]
@@ -222,25 +247,20 @@ def dec_offline_columnar(
             ladder.rate(i + 1) / ladder.rate(i),
             budget_factor * strip_divisor / 2.0,
         )
-        pairs = _peel(
-            seq, starts, ends, sizes, eligible,
-            ladder.capacity(i) / strip_divisor, budget, i, ("it", i),
-            placement_order,
+        emitted = _peel(
+            jobs, eligible, ladder.capacity(i) / strip_divisor, budget, i, ("it", i),
+            out, placement_order,
         )
-        if pairs:
-            emitted.extend(pairs)
-            remaining = _without(remaining, pairs, len(seq))
+        if emitted:
+            remaining = _without(remaining, emitted, n)
 
     # final iteration: everything left goes to type m, unbounded strips
     if remaining.size:
-        emitted.extend(
-            _dual_emit(
-                seq, starts, ends, sizes, remaining,
-                ladder.capacity(ladder.m), ladder.m, ("it", ladder.m),
-                strip_divisor, placement_order,
-            )
+        _dual_emit(
+            jobs, remaining, ladder.capacity(ladder.m), ladder.m, ("it", ladder.m),
+            out, strip_divisor, placement_order,
         )
-    return Schedule(ladder, {seq[g]: key for g, key in emitted})
+    return out.schedule(ladder, jobs)
 
 
 def inc_offline_columnar(jobs: JobSet, ladder: Ladder) -> Schedule:
@@ -250,34 +270,26 @@ def inc_offline_columnar(jobs: JobSet, ladder: Ladder) -> Schedule:
     ladder — the vector twin of ``Job.size_class`` — and each class runs
     Dual-Coloring on its index subset.
     """
-    arrays = jobs.to_arrays()
     caps = np.asarray(ladder.capacities, dtype=np.float64)
-    cls = np.searchsorted(caps, arrays.sizes, side="left")
-    seq = jobs.jobs
-    emitted: list[tuple[int, MachineKey]] = []
+    cls = np.searchsorted(caps, jobs.to_arrays().sizes, side="left")
+    out = _Emission()
     for i in range(1, ladder.m + 1):
         members = np.flatnonzero(cls == i - 1)
         if members.size == 0:
             continue
-        emitted.extend(
-            _dual_emit(
-                seq, arrays.starts, arrays.ends, arrays.sizes, members,
-                ladder.capacity(i), i, ("class", i),
-            )
-        )
-    return Schedule(ladder, {seq[g]: key for g, key in emitted})
+        _dual_emit(jobs, members, ladder.capacity(i), i, ("class", i), out)
+    return out.schedule(ladder, jobs)
 
 
 def general_offline_columnar(jobs: JobSet, ladder: Ladder) -> Schedule:
     """GEN-OFFLINE post-order traversal (caller validates the instance)."""
     from .general_offline import node_strip_budget  # deferred: import cycle
 
-    arrays = jobs.to_arrays()
-    starts, ends, sizes = arrays.starts, arrays.ends, arrays.sizes
-    seq = jobs.jobs
+    sizes = jobs.to_arrays().sizes
+    n = len(jobs)
     forest = ladder.forest()
-    remaining = np.arange(len(seq), dtype=np.int64)
-    emitted: list[tuple[int, MachineKey]] = []
+    remaining = np.arange(n, dtype=np.int64)
+    out = _Emission()
 
     for j in forest.postorder():
         lo, hi = forest.subtree_span(j)
@@ -292,16 +304,13 @@ def general_offline_columnar(jobs: JobSet, ladder: Ladder) -> Schedule:
         parent = forest.parent[j]
         if parent is None:
             # tree root: schedule everything on type j, unbounded strips
-            pairs = _dual_emit(seq, starts, ends, sizes, eligible, g_j, j, ("node", j))
+            emitted = _dual_emit(jobs, eligible, g_j, j, ("node", j), out)
         else:
             budget = node_strip_budget(ladder, j, parent, forest.num_children(parent))
-            pairs = _peel(
-                seq, starts, ends, sizes, eligible, g_j / 2.0, budget, j, ("node", j)
-            )
-        if pairs:
-            emitted.extend(pairs)
-            remaining = _without(remaining, pairs, len(seq))
+            emitted = _peel(jobs, eligible, g_j / 2.0, budget, j, ("node", j), out)
+        if emitted:
+            remaining = _without(remaining, emitted, n)
 
     if remaining.size:  # pragma: no cover - every job reaches some root
         raise RuntimeError("GEN-OFFLINE left jobs unscheduled")
-    return Schedule(ladder, {seq[g]: key for g, key in emitted})
+    return out.schedule(ladder, jobs)

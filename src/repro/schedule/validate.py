@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..core.vectorized import vec_peak_load
 from ..core.timecmp import TIME_TOL
 from ..core.tolerance import TOLERANCE
@@ -75,28 +77,34 @@ _TIME_TOL = TIME_TOL
 
 
 def validate_schedule(schedule: Schedule, instance: JobSet) -> FeasibilityReport:
-    """Check a schedule against the instance it claims to solve."""
+    """Check a schedule against the instance it claims to solve, on the
+    columns of both; ``Job`` objects are built only to report a violation."""
     report = FeasibilityReport()
 
     scheduled = schedule.jobs
-    inst_uids = {j.uid for j in instance}
-    sched_uids = {j.uid for j in scheduled}
-    report.missing_jobs = [j for j in instance if j.uid not in sched_uids]
-    report.extra_jobs = [j for j in scheduled if j.uid not in inst_uids]
+    a = scheduled.to_arrays()
+    inst_uids = instance.to_arrays().uids
+    if scheduled is not instance and not np.array_equal(inst_uids, a.uids):
+        report.missing_jobs = _where(instance, ~np.isin(inst_uids, a.uids))
+        report.extra_jobs = _where(scheduled, ~np.isin(a.uids, inst_uids))
 
-    groups = schedule.by_machine()
-    for key, jobs in groups.items():
-        capacity = schedule.ladder.capacity(key.type_index)
-        for job in jobs:
-            if job.size > capacity + _CAP_TOL:
-                report.oversize_jobs.append((job, key))
+    keys = schedule.machine_table
+    groups = schedule.machine_groups()
+    capacities = [schedule.ladder.capacity(key.type_index) for key in keys]
+    job_capacity = np.array(capacities, dtype=np.float64)[schedule.machine_ids()]
+    oversize = a.sizes > job_capacity + _CAP_TOL
+    if oversize.any():
+        seq = scheduled.jobs
+        report.oversize_jobs = [
+            (seq[g], key)
+            for key, members in zip(keys, groups)
+            for g in members[oversize[members]].tolist()
+        ]
+    for key, members, capacity in zip(keys, groups, capacities):
         # event sweep with half-open semantics: a job departing at t and one
         # arriving at t share the machine sequentially, never concurrently
         peak = vec_peak_load(
-            [j.arrival for j in jobs],
-            [j.departure for j in jobs],
-            [j.size for j in jobs],
-            time_tol=_TIME_TOL,
+            a.starts[members], a.ends[members], a.sizes[members], time_tol=_TIME_TOL
         )
         # tolerance scales with capacity: float sums of many sizes
         if peak > capacity * (1 + TOLERANCE) + _CAP_TOL:
@@ -109,6 +117,14 @@ def validate_schedule(schedule: Schedule, instance: JobSet) -> FeasibilityReport
         or report.overloaded
     )
     return report
+
+
+def _where(jobs: JobSet, mask: np.ndarray) -> list:
+    """The jobs of ``jobs`` (canonical order) where ``mask`` holds."""
+    if not mask.any():
+        return []
+    seq = jobs.jobs
+    return [seq[g] for g in np.flatnonzero(mask).tolist()]
 
 
 def assert_feasible(schedule: Schedule, instance: JobSet) -> None:

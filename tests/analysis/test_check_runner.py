@@ -5,12 +5,14 @@ module names resolve like the real repo: ``src/repro/...``) and a real
 scratch git repository for the changed-lines filter.
 """
 
+import shutil
 import subprocess
 import textwrap
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.static import (
     AnalysisCache,
     line_text_from_disk,
@@ -48,6 +50,23 @@ class TestIncrementalCache:
         warm = run_check([pkg / "src"], cache_dir=cache_dir)
         assert warm.cache_hits == 1 and warm.cache_misses == 0
         assert warm.findings == cold.findings
+        assert [d.rule_id for d in warm.findings] == ["BSHM001"]
+
+    def test_warm_findings_agree_on_a_real_package(self, tmp_path):
+        """Cold and warm runs over a copy of the real ``repro.core``
+        package plus one violation report identical findings, and the warm
+        run is all cache hits."""
+        tree = tmp_path / "src" / "repro" / "core"
+        shutil.copytree(
+            Path(repro.__file__).parent / "core", tree,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        (tree / "bad.py").write_text(textwrap.dedent(VIOLATION))
+        cache_dir = tmp_path / ".bshm_cache"
+        cold = run_check([tmp_path / "src"], cache_dir=cache_dir)
+        warm = run_check([tmp_path / "src"], cache_dir=cache_dir)
+        assert warm.cache_misses == 0 and warm.cache_hits == cold.n_files > 5
+        assert [d.to_dict() for d in warm.findings] == [d.to_dict() for d in cold.findings]
         assert [d.rule_id for d in warm.findings] == ["BSHM001"]
 
     def test_edited_file_misses_and_reanalyzes(self, pkg):

@@ -5,20 +5,25 @@
 outcomes, same machine keys in the same order, bit-identical machine loads.
 Random admit/release traffic covers mixed sizes, concurrency budgets,
 size-limited (Group A) pools and single-job (Group B) pools; a scheduler-
-level test replays whole DEC instances through both engines and compares
+level test replays whole DEC and INC instances through both engines, on
+small ladders and on a deep ladder with hundreds of jobs live, and compares
 placement sequences and final schedule costs.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from tests.property.settings import tiered
 
-from repro import dec_ladder, run_online, uniform_workload
+import repro.online.dec_online as dec_mod
+import repro.online.inc_online as inc_mod
+from repro import Job, JobSet, dec_ladder, inc_ladder, run_online, uniform_workload
 from repro.machines.fleet import IndexedPool
 from repro.online.dec_online import DecOnlineScheduler
+from repro.online.inc_online import IncOnlineScheduler
 
 CAPACITY = 4.0
 
@@ -105,25 +110,58 @@ class _ScanPool(IndexedPool):
         return self.first_fit_reference(uid, size)
 
 
-@tiered(15)
-@given(st.integers(0, 2**32 - 1), st.integers(60, 220))
-def test_dec_scheduler_engine_parity(seed, n):
-    """Whole DEC-ONLINE runs place identically under either engine."""
-    import repro.online.dec_online as dec_mod
-
-    ladder = dec_ladder(3)
-    rng = np.random.default_rng(seed)
-    jobs = uniform_workload(n, rng, max_size=ladder.capacity(3))
-
-    fast = run_online(jobs, DecOnlineScheduler(ladder))
-    original = dec_mod.IndexedPool
-    dec_mod.IndexedPool = _ScanPool
+def _assert_scheduler_parity(scheduler_cls, module, ladder, jobs) -> None:
+    """A whole online run places identically under either engine."""
+    fast = run_online(jobs, scheduler_cls(ladder))
+    original = module.IndexedPool
+    module.IndexedPool = _ScanPool
     try:
-        slow = run_online(jobs, DecOnlineScheduler(ladder))
+        slow = run_online(jobs, scheduler_cls(ladder))
     finally:
-        dec_mod.IndexedPool = original
+        module.IndexedPool = original
 
     fast_map = {job.uid: key for job, key in fast.assignment.items()}
     slow_map = {job.uid: key for job, key in slow.assignment.items()}
     assert fast_map == slow_map
+    assert list(fast.assignment.values()) == list(slow.assignment.values())
     assert fast.cost() == slow.cost()  # bit-identical placements => costs
+
+
+@tiered(15)
+@given(st.integers(0, 2**32 - 1), st.integers(60, 220))
+def test_dec_scheduler_engine_parity(seed, n):
+    """Whole DEC-ONLINE runs place identically under either engine."""
+    ladder = dec_ladder(3)
+    jobs = uniform_workload(n, np.random.default_rng(seed), max_size=ladder.capacity(3))
+    _assert_scheduler_parity(DecOnlineScheduler, dec_mod, ladder, jobs)
+
+
+@tiered(15)
+@given(st.integers(0, 2**32 - 1), st.integers(60, 220))
+def test_inc_scheduler_engine_parity(seed, n):
+    """Whole INC-ONLINE runs place identically under either engine."""
+    ladder = inc_ladder(3)
+    jobs = uniform_workload(n, np.random.default_rng(seed), max_size=ladder.capacity(3))
+    _assert_scheduler_parity(IncOnlineScheduler, inc_mod, ladder, jobs)
+
+
+@pytest.mark.parametrize(
+    "scheduler_cls, module",
+    [(DecOnlineScheduler, dec_mod), (IncOnlineScheduler, inc_mod)],
+    ids=["dec", "inc"],
+)
+def test_deep_ladder_high_concurrency_parity(scheduler_cls, module):
+    """A deep DEC(6) ladder with hundreds of jobs live at once, so the
+    pools hold many busy machines: the regime where the index and the scan
+    differ most in work, and where a divergence would hide."""
+    ladder = dec_ladder(6)
+    rng = np.random.default_rng(2020)
+    n = 1200
+    arrivals = np.sort(rng.uniform(0.0, n / 200.0, size=n))
+    durations = rng.uniform(5.0, 25.0, size=n)
+    sizes = rng.uniform(0.05, ladder.capacity(ladder.m), size=n)
+    jobs = JobSet(
+        Job(size=float(s), arrival=float(a), departure=float(a + d))
+        for a, d, s in zip(arrivals, durations, sizes)
+    )
+    _assert_scheduler_parity(scheduler_cls, module, ladder, jobs)

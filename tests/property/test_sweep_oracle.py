@@ -36,6 +36,7 @@ from repro import (
     sweep_nested_demand,
 )
 from tests.conftest import jobset_strategy
+from tests.schedule.reference import cost_dict_reference, cost_reference
 
 from tests.property.settings import tiered
 
@@ -292,4 +293,5 @@ class TestScheduleCostOracle:
             ladder,
             {job: MachineKey(3, ("m", tag)) for job, tag in zip(jobs, tags)},
         )
-        assert sched.cost() == pytest.approx(sched.cost_reference(), rel=TOL, abs=TOL)
+        assert sched.cost() == pytest.approx(cost_reference(sched), rel=TOL, abs=TOL)
+        assert sched.cost() == cost_dict_reference(sched)  # bit for bit

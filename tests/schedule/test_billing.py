@@ -78,7 +78,7 @@ class TestBilledCost:
         period = 0.5
         groups = sched.by_machine()
         min_busy = min(
-            (p.length for key in groups for p in sched.busy_set(key, groups)),
+            (p.length for key in groups for p in sched.busy_set(key)),
             default=1.0,
         )
         overhead = billing_overhead(sched, BillingModel(period=period))

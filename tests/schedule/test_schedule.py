@@ -98,3 +98,29 @@ class TestStructure:
         sched = Schedule(dec3, {})
         assert sched.cost() == 0.0
         assert sched.machines() == []
+
+
+class TestColumns:
+    """``Schedule.from_columns``: what the offline engines emit."""
+
+    def test_from_columns_is_the_mapping_it_describes(self, dec3, two_jobs):
+        jobs = JobSet(two_jobs)
+        keys = [MachineKey(1, ("m", 0)), MachineKey(2, ("m", 1))]
+        # the later job was assigned first, to the first machine
+        sched = Schedule.from_columns(dec3, jobs, [1, 0], [0, 1], keys)
+        assert list(sched.assignment.items()) == [(two_jobs[1], keys[0]), (two_jobs[0], keys[1])]
+        assert sched.jobs is jobs
+        assert sched.machine_table == tuple(keys)
+        assert sched.machine_ids().tolist() == [1, 0]
+        assert sched.cost() == Schedule(dec3, sched.assignment).cost() == 4.0 + 8.0
+
+    def test_partial_columns_keep_only_the_scheduled_jobs(self, dec3, two_jobs):
+        key = MachineKey(1, ("m", 0))
+        sched = Schedule.from_columns(dec3, JobSet(two_jobs), [1], [0], [key])
+        assert sched.assignment == {two_jobs[1]: key}
+        assert len(sched.jobs) == 1
+
+    def test_a_machine_listed_twice_is_rejected(self, dec3, two_jobs):
+        key = MachineKey(1, ("m", 0))
+        with pytest.raises(ValueError, match="each machine once"):
+            Schedule.from_columns(dec3, JobSet(two_jobs), [0, 1], [0, 1], [key, key])

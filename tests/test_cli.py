@@ -187,6 +187,49 @@ class TestCliLint:
         assert "error:" in capsys.readouterr().err
 
 
+class TestCliBadInput:
+    """A malformed trace or ladder, or a job no machine fits, exits 2 with
+    one ``error:`` line — never a traceback (``lint`` keeps exit 1 for
+    "warnings found")."""
+
+    @pytest.fixture
+    def bad_files(self, tmp_path, trace_files):
+        short = tmp_path / "short.csv"
+        short.write_text("size,arrival,departure\n1.0,3\n")
+        bad_ladder = tmp_path / "bad-ladder.csv"
+        bad_ladder.write_text("capacity,rate\n3\n")
+        big = tmp_path / "big.csv"
+        big.write_text("size,arrival,departure\n50,0,1\n")
+        return str(short), str(bad_ladder), str(big)
+
+    @pytest.mark.parametrize("command", ["schedule", "lint", "recommend"])
+    def test_malformed_trace(self, command, trace_files, bad_files, capsys):
+        _, ladder = trace_files
+        short, _, _ = bad_files
+        assert main([command, short, "--ladder", ladder]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "short.csv:2: bad job row" in err
+
+    @pytest.mark.parametrize("command", ["schedule", "lint", "recommend"])
+    def test_malformed_ladder(self, command, trace_files, bad_files, capsys):
+        trace, _ = trace_files
+        _, bad_ladder, _ = bad_files
+        assert main([command, trace, "--ladder", bad_ladder]) == 2
+        assert "bad-ladder.csv:2: bad type row" in capsys.readouterr().err
+
+    def test_serve_malformed_ladder(self, bad_files, capsys):
+        _, bad_ladder, _ = bad_files
+        assert main(["serve", "--ladder", bad_ladder, "--port", "0"]) == 2
+        assert "error: " in capsys.readouterr().err
+
+    def test_schedule_job_larger_than_every_machine(self, trace_files, bad_files, capsys):
+        _, ladder = trace_files
+        _, _, big = bad_files
+        assert main(["schedule", big, "--ladder", ladder]) == 2
+        err = capsys.readouterr().err
+        assert "error: job size 50 exceeds the largest capacity 9" in err
+
+
 class TestCliCheck:
     def test_check_src_is_clean(self, capsys):
         import pathlib

@@ -18,8 +18,10 @@ names a *site* (an instrumented hook in the WAL or server), a 1-based
     raise after the frame is written (and policy-fsynced) — the event
     survives iff the fsync policy made it durable.
 ``partial-write``
-    persist only the first half of one frame, then crash — the torn tail
-    the recovery path must detect and truncate.
+    persist only the first half of one write, then crash — the torn tail
+    the recovery path must detect and truncate.  A write carries every
+    frame of one batch, so the tear can fall between, or inside, any of
+    its frames.
 ``fsync-error``
     make ``fsync`` raise ``OSError`` — the WAL wraps it into a
     ``WALError`` and the service fail-stops (durability can no longer be
@@ -27,6 +29,10 @@ names a *site* (an instrumented hook in the WAL or server), a 1-based
 ``slow-io``
     sleep briefly inside a write (latency, no crash): injected runs must
     still finish state-identical to clean ones.
+``crash-before-ack``
+    (server site) crash after a batch's WAL append, before any of its
+    replies is sent — its events are logged (durable as the fsync policy
+    made them) but none is acknowledged.
 ``conn-drop``
     (server site) sever the connection mid-request.
 ``stall``
@@ -62,8 +68,9 @@ __all__ = [
 #: kinds that abort the run (simulated process death)
 CRASH_KINDS = ("crash-before-append", "crash-after-append", "partial-write",
                "fsync-error")
-#: every recognised kind
-FAULT_KINDS = CRASH_KINDS + ("slow-io", "conn-drop", "stall")
+#: every recognised kind; the server-site crash is not in CRASH_KINDS, so
+#: seeded WAL plans keep the kill points they had before it existed
+FAULT_KINDS = CRASH_KINDS + ("crash-before-ack", "slow-io", "conn-drop", "stall")
 
 #: which instrumented site each kind triggers at
 _KIND_SITE = {
@@ -72,6 +79,7 @@ _KIND_SITE = {
     "partial-write": "wal.io.write",
     "fsync-error": "wal.io.fsync",
     "slow-io": "wal.io.write",
+    "crash-before-ack": "server.ack",
     "conn-drop": "server.request",
     "stall": "server.request",
 }
@@ -167,17 +175,15 @@ class FaultInjector:
             raise InjectedFault(point)
 
     async def apoint(self, site: str) -> None:
-        """Async server hook: conn drops raise, stalls await, slow-io sleeps."""
+        """Async server hook: stalls await, slow-io sleeps, the rest raise."""
         point = self._fire(site)
         if point is None:
             return
-        if point.kind == "conn-drop":
-            raise InjectedFault(point)
         if point.kind == "stall":
             await point.arg.wait()
         elif point.kind == "slow-io":
             await asyncio.sleep(float(point.arg or 1e-3))
-        elif point.kind in CRASH_KINDS:
+        else:
             raise InjectedFault(point)
 
     # -- instrumented file I/O (durability bookkeeping) ---------------------

@@ -281,20 +281,6 @@ class SchedulerRuntime:
     def active_uids(self) -> list[int]:
         return sorted(self._open)
 
-    def uid_inventory(self) -> dict:
-        """The uid bookkeeping a routing front-end must mirror.
-
-        A recovered runtime knows every uid it ever saw, but a freshly
-        started router does not — it adopts this at attach time so
-        duplicate refusal and depart routing survive a restart.
-        """
-        return {
-            "clock": self.clock,
-            "open": {uid: entry[1] for uid, entry in self._open.items()},
-            "used": sorted(self._used_uids),
-            "rejected": sorted(self._rejected),
-        }
-
     def knows_uid(self, uid: int) -> bool:
         """True if a job with this uid was ever submitted (open, closed or
         rejected) — the server's duplicate-submit guard."""
@@ -373,13 +359,14 @@ class SchedulerRuntime:
             self.metrics.histogram("probe_depth").observe(depth)
 
         self._open[uid] = (view.size, arrival, view.name, key)
+        self.metrics.gauge("active_jobs").set(len(self._open))
         n_on_machine = self._machine_open.get(key, 0) + 1
         self._machine_open[key] = n_on_machine
         if n_on_machine == 1:
             self._busy_by_type[key.type_index] = (
                 self._busy_by_type.get(key.type_index, 0) + 1
             )
-        self._sample_gauges()
+            self._sample_busy(key.type_index)
         self.metrics.histogram("decision_latency_ms").observe(latency * 1e3)
         return Admission(uid=uid, accepted=True, machine=key, reason=None,
                         latency_s=latency)
@@ -419,8 +406,9 @@ class SchedulerRuntime:
         self._machine_open[key] = n_on_machine
         if n_on_machine == 0:
             self._busy_by_type[key.type_index] -= 1
+            self._sample_busy(key.type_index)
         self.metrics.counter("departures").inc()
-        self._sample_gauges()
+        self.metrics.gauge("active_jobs").set(len(self._open))
 
     def advance(self, t: float) -> None:
         """Move the clock with no job event (heartbeat / sampling point)."""
@@ -485,12 +473,19 @@ class SchedulerRuntime:
         self.metrics.counter("arrivals").inc()
 
     def _sample_gauges(self) -> None:
+        """Set every gauge (after a restore, and at ``advance``)."""
         self.metrics.gauge("active_jobs").set(len(self._open))
-        self.metrics.gauge("busy_machines").set(
-            sum(1 for n in self._machine_open.values() if n > 0)
-        )
+        self.metrics.gauge("busy_machines").set(sum(self._busy_by_type.values()))
         for i, n in self._busy_by_type.items():
             self.metrics.gauge(f"busy_machines_type_{i}").set(n)
+
+    def _sample_busy(self, type_index: int) -> None:
+        """Set the two gauges a machine of ``type_index`` moves when it
+        turns busy or idle; an event touches no other type's gauge."""
+        self.metrics.gauge(f"busy_machines_type_{type_index}").set(
+            self._busy_by_type[type_index]
+        )
+        self.metrics.gauge("busy_machines").set(sum(self._busy_by_type.values()))
 
     def __repr__(self) -> str:
         return (

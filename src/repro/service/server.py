@@ -23,17 +23,26 @@ Ops::
 
 Robustness properties (see ``docs/operations.md``):
 
+- **Pipelined batches.**  Each time a connection wakes up it takes every
+  complete request line already received, up to ``max_inflight``, and
+  answers them as one batch: the lines run through the guards and
+  handlers in order, the events they applied are appended to the WAL in
+  one write with at most one policy fsync, and the replies leave in one
+  write.  Replies keep request order and the bytes one request at a
+  time gets, except the fsync counters of a ``stats`` read, which count
+  the fsyncs group commit saves; a ``shutdown`` ends the batch.
 - **Durability.**  With a :class:`~repro.service.wal.WALWriter` attached,
   every mutating request is applied to the runtime and appended to the WAL
-  *before* the acknowledgement is written, so an acked event is on the
-  durable prefix (subject to the fsync policy).  If the WAL cannot
-  persist, the request is answered with ``storage-error`` and the server
-  fail-stops via a drain — it never keeps acking writes it cannot make
-  durable.
+  *before* any reply of its batch is written, so an acked event is on the
+  durable prefix (subject to the fsync policy) and no reply, reads
+  included, leaves before the events ahead of it are logged.  If the WAL
+  cannot persist, the batch's success replies become ``storage-error``
+  and the server fail-stops via a drain — it never keeps acking writes it
+  cannot make durable.
 - **Overload shedding.**  At most ``max_inflight`` requests may be in
-  flight; beyond that, requests are answered immediately with the
-  retryable ``overloaded`` error (and a ``retry_after_ms`` hint) instead
-  of queueing without bound.
+  flight, each line of a batch counting as one; beyond that, requests are
+  answered immediately with the retryable ``overloaded`` error (and a
+  ``retry_after_ms`` hint) instead of queueing without bound.
 - **Graceful drain.**  ``shutdown`` requests, SIGTERM and SIGINT all
   trigger the same path: stop accepting connections, let in-flight
   requests finish (new ones get the retryable ``draining`` error), fsync
@@ -66,32 +75,51 @@ __all__ = [
 ]
 
 #: default cap on request line length (bytes), and on in-flight requests
+#: (also the most request lines one batch takes)
 DEFAULT_MAX_LINE_BYTES = 1 << 16
 DEFAULT_MAX_INFLIGHT = 64
+
+#: bytes asked of the socket per read
+_READ_BYTES = 1 << 16
+
+#: the ops that apply an event; any other op answers for the events before it
+_EVENT_OPS = frozenset({"submit", "depart", "advance"})
 
 #: reply lines: sorted keys with the default ``", "``/``": "`` spacing,
 #: from one prebuilt encoder rather than a new one per ``json.dumps``
 _encode_reply = json.JSONEncoder(sort_keys=True).encode
 
 
-def parse_line(line: str) -> "tuple[dict | None, dict | None]":
-    """Parse one request line into ``(request, None)`` or ``(None, error)``.
+def parse_line(line: str) -> dict:
+    """Parse one request line into its request object.
 
-    The error half is a complete failed-response document.
+    Raises :class:`ServiceError` (``bad-request``) for an empty line,
+    malformed JSON or JSON that is not an object.
     """
     if not line.strip():
-        return None, ServiceError("bad-request", "empty request").to_wire()
+        raise ServiceError("bad-request", "empty request")
     try:
         request = json.loads(line)
     except json.JSONDecodeError as exc:
-        return None, ServiceError(
-            "bad-request", f"malformed JSON: {exc}"
-        ).to_wire()
+        raise ServiceError("bad-request", f"malformed JSON: {exc}") from None
     if not isinstance(request, dict):
-        return None, ServiceError(
-            "bad-request", "request must be a JSON object"
-        ).to_wire()
-    return request, None
+        raise ServiceError("bad-request", "request must be a JSON object")
+    return request
+
+
+def _wire_uid(value: object) -> int:
+    """A job uid from the wire: a JSON integer, never a float or a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"uid must be a JSON integer, got {value!r}")
+    return value
+
+
+def _wire_number(request: dict, field: str) -> float:
+    """A size or time from the wire: a JSON number, never a string or a bool."""
+    value = request[field]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{field} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 class SchedulerServer:
@@ -100,8 +128,9 @@ class SchedulerServer:
     :meth:`handle_line` and :meth:`handle_request` are the scheduler ops,
     one request in and one response dict out, never raising; they need
     no socket, so tests drive them directly.  The rest is the transport:
-    connection lifecycle, read timeouts, line limits, the in-flight
-    overload guard, the append-before-ack WAL step and graceful drain.
+    connection lifecycle, request batching, read timeouts, line limits,
+    the in-flight overload guard, the append-before-ack WAL step and
+    graceful drain.
     """
 
     def __init__(
@@ -187,11 +216,10 @@ class SchedulerServer:
 
         Never raises: every failure becomes a structured error response.
         """
-        request, error = parse_line(line)
-        if request is None:
-            return error if error is not None else ServiceError(
-                "bad-request", "empty request"
-            ).to_wire()
+        try:
+            request = parse_line(line)
+        except ServiceError as exc:
+            return exc.to_wire()
         return self.handle_request(request)
 
     def handle_request(self, request: dict) -> dict:
@@ -212,17 +240,18 @@ class SchedulerServer:
     # -- ops ----------------------------------------------------------------
     def _op_submit(self, request: dict) -> dict:
         uid = request.get("uid")
-        if uid is not None and self.runtime.knows_uid(int(uid)):
-            # a redo of an acked submit (client retried across a reconnect);
-            # dedicated code so replaying clients can treat it as success
-            raise ServiceError(
-                "duplicate-uid",
-                f"job uid {int(uid)} was already submitted",
-                uid=int(uid),
-            )
+        if uid is not None:
+            uid = _wire_uid(uid)
+            if self.runtime.knows_uid(uid):
+                # a redo of an acked submit (client retried across a
+                # reconnect); dedicated code so replaying clients can treat
+                # it as success
+                raise ServiceError(
+                    "duplicate-uid", f"job uid {uid} was already submitted", uid=uid
+                )
         admission = self.runtime.submit(
-            float(request["size"]),
-            float(request["t"]),
+            _wire_number(request, "size"),
+            _wire_number(request, "t"),
             name=request.get("name"),
             uid=uid,
         )
@@ -235,11 +264,12 @@ class SchedulerServer:
         return out
 
     def _op_depart(self, request: dict) -> dict:
-        self.runtime.depart(int(request["uid"]), float(request["t"]))
-        return {"ok": True, "uid": int(request["uid"])}
+        uid = _wire_uid(request["uid"])
+        self.runtime.depart(uid, _wire_number(request, "t"))
+        return {"ok": True, "uid": uid}
 
     def _op_advance(self, request: dict) -> dict:
-        self.runtime.advance(float(request["t"]))
+        self.runtime.advance(_wire_number(request, "t"))
         return {"ok": True, "clock": self.runtime.clock}
 
     def _op_stats(self, request: dict) -> dict:
@@ -300,81 +330,155 @@ class SchedulerServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        loop = asyncio.get_running_loop()
+        pending = bytearray()  # received bytes not yet cut into request lines
+        eof = False
+        deadline: float | None = None  # for the next complete line
         while not self._shutdown.is_set():
-            try:
-                if self._read_timeout is not None:
-                    line = await asyncio.wait_for(
-                        reader.readline(), self._read_timeout
-                    )
-                else:
-                    line = await reader.readline()
-            except asyncio.TimeoutError:
-                await self._send(
-                    writer,
-                    ServiceError(
+            lines, overlong = self._cut_lines(pending, eof)
+            if lines:
+                replies = await self._respond(lines)
+                await self._send(writer, replies)
+                if replies[-1].get("bye"):
+                    self._shutdown.set()
+                    return
+                deadline = None
+            elif overlong:
+                # the tail of the oversized line is unrecoverable: the lines
+                # before it are answered, then the connection closes
+                await self._send(writer, [ServiceError(
+                    "line-too-long", f"request exceeds {self._max_line_bytes} bytes"
+                ).to_wire()])
+                return
+            elif eof:
+                return
+            else:
+                try:
+                    if self._read_timeout is None:
+                        chunk = await reader.read(_READ_BYTES)
+                    else:
+                        if deadline is None:
+                            deadline = loop.time() + self._read_timeout
+                        chunk = await asyncio.wait_for(
+                            reader.read(_READ_BYTES), deadline - loop.time()
+                        )
+                except asyncio.TimeoutError:
+                    await self._send(writer, [ServiceError(
                         "idle-timeout",
                         f"no request within {self._read_timeout:g}s; closing",
-                    ).to_wire(),
-                )
-                return
-            except (asyncio.LimitOverrunError, ValueError):
-                # readline overran the stream limit; the tail of the
-                # oversized line is unrecoverable, so answer and hang up
-                await self._send(
-                    writer,
-                    ServiceError(
-                        "line-too-long",
-                        f"request exceeds {self._max_line_bytes} bytes",
-                    ).to_wire(),
-                )
-                return
-            if not line:
-                return
-            response = await self._respond(line.decode("utf-8", "replace"))
-            await self._send(writer, response)
-            if response.get("bye"):
-                self._shutdown.set()
-                return
+                    ).to_wire()])
+                    return
+                pending += chunk
+                eof = not chunk
 
-    async def _send(self, writer: asyncio.StreamWriter, response: dict) -> None:
-        writer.write((_encode_reply(response) + "\n").encode())
+    def _cut_lines(self, pending: bytearray, eof: bool) -> tuple[list[str], bool]:
+        """Cut up to ``max_inflight`` complete request lines (newline kept)
+        off the front of ``pending``; at EOF an unterminated tail is the
+        last line.  The flag says an over-long line stops the cut: one
+        longer than ``max_line_bytes``, or an unterminated tail already
+        longer.
+        """
+        lines: list[str] = []
+        start = 0
+        overlong = False
+        while len(lines) < self._max_inflight:
+            end = pending.find(b"\n", start)
+            stop = len(pending) if end < 0 else end
+            if stop - start > self._max_line_bytes:
+                overlong = True
+                break
+            if end < 0:
+                if eof and stop > start:
+                    lines.append(pending[start:].decode("utf-8", "replace"))
+                    start = stop
+                break
+            lines.append(pending[start:end + 1].decode("utf-8", "replace"))
+            start = end + 1
+        del pending[:start]
+        return lines, overlong
+
+    async def _send(self, writer: asyncio.StreamWriter, replies: list[dict]) -> None:
+        """Write a batch's replies, one line each, with one write and one drain."""
+        writer.write("".join([_encode_reply(r) + "\n" for r in replies]).encode())
         await writer.drain()
 
-    async def _respond(self, line: str) -> dict:
-        """Drain and overload guards, fault hook, handler and WAL append,
-        in ack order."""
-        if self._draining:
-            return ServiceError(
-                "draining", "server is shutting down; retry elsewhere"
-            ).to_wire()
-        if self._inflight >= self._max_inflight:
-            self.runtime.metrics.counter("shed_requests").inc()
-            return OverloadError(
-                f"{self._inflight} requests in flight (limit "
-                f"{self._max_inflight}); retry later"
-            ).to_wire()
-        self._inflight += 1
-        self._idle.clear()
+    async def _respond(self, lines: list[str]) -> list[dict]:
+        """Answer a batch of request lines, in order.
+
+        Each line passes the drain and overload guards and the fault hook,
+        then runs its handler.  The events the batch applied are appended
+        to the WAL in one write before the caller sends any reply, so no
+        reply leaves before the events ahead of it are logged.  The append
+        runs early only before an op that applies no event (a read or a
+        ``shutdown``, which answers for every event before it) and where a
+        snapshot is due, so reads and snapshots see the same log as with
+        one request at a time.  A ``shutdown`` ends the batch.
+        """
+        replies: list[dict] = []
+        admitted = 0
         try:
-            if self._faults is not None:
-                await self._faults.apoint("server.request")
-            response = self.handle_line(line)
-            if self.wal is not None and response.get("ok"):
+            for line in lines:
+                if self._draining:
+                    replies.append(ServiceError(
+                        "draining", "server is shutting down; retry elsewhere"
+                    ).to_wire())
+                    continue
+                if self._inflight >= self._max_inflight:
+                    self.runtime.metrics.counter("shed_requests").inc()
+                    replies.append(OverloadError(
+                        f"{self._inflight} requests in flight (limit "
+                        f"{self._max_inflight}); retry later"
+                    ).to_wire())
+                    continue
+                self._inflight += 1
+                admitted += 1
+                self._idle.clear()
+                if self._faults is not None:
+                    await self._faults.apoint("server.request")
                 try:
-                    self.wal.append_new()
-                except WALError as exc:
-                    # the event is applied in memory but not durable: tell
-                    # the client it failed and fail-stop the service.
-                    asyncio.get_running_loop().call_soon(self._shutdown.set)
-                    self._draining = True
-                    return ServiceError(
-                        "storage-error", f"write-ahead log failed: {exc}"
-                    ).to_wire()
-            return response
+                    request = parse_line(line)
+                except ServiceError as exc:
+                    replies.append(exc.to_wire())
+                    continue
+                if request.get("op") not in _EVENT_OPS:
+                    failed = self._commit(replies)
+                    if failed is not None:
+                        replies.append(failed)
+                        continue
+                replies.append(self.handle_request(request))
+                if replies[-1].get("bye"):
+                    break
+                if self.wal is not None and self.wal.compaction_due:
+                    self._commit(replies)
+            self._commit(replies)
+            if self._faults is not None:
+                await self._faults.apoint("server.ack")
+            return replies
         finally:
-            self._inflight -= 1
+            self._inflight -= admitted
             if self._inflight == 0:
                 self._idle.set()
+
+    def _commit(self, replies: list[dict]) -> dict | None:
+        """Append every applied event not yet logged to the WAL.
+
+        If the log cannot persist, the server fail-stops and every success
+        reply of the batch becomes the returned ``storage-error`` reply: it
+        never acks an event it could not make durable.
+        """
+        if self.wal is None or self.wal.n_appended == self.runtime.n_events:
+            return None
+        try:
+            self.wal.append_new()
+        except WALError as exc:
+            asyncio.get_running_loop().call_soon(self._shutdown.set)
+            self._draining = True
+            failed = ServiceError(
+                "storage-error", f"write-ahead log failed: {exc}"
+            ).to_wire()
+            replies[:] = [failed if reply.get("ok") else reply for reply in replies]
+            return failed
+        return None
 
 
 #: the name perfbench's request-span wrap still targets

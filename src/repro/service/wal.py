@@ -31,11 +31,18 @@ the final segment (data loss the fsync policy already allowed), but fails
 loudly with :class:`WALError` on corruption anywhere else — mid-stream
 damage means the disk lied, and replaying past it would fabricate state.
 
-**Fsync policy.**  ``always`` fsyncs before every acknowledgement (no
-acked event is ever lost), ``batch`` fsyncs every ``batch_every`` appends
-(bounded loss window, much cheaper), ``never`` leaves durability to the
-OS.  Segment rotation and snapshot compaction fsync unconditionally, so
-segment *bases* always sit on the durable prefix regardless of policy.
+**Fsync policy.**  One :meth:`WALWriter.append_new` call logs every event
+applied since the previous call (the server calls it once per batch of
+pipelined requests): one write per segment the frames land in, then the
+policy, once.  ``always`` fsyncs before any event of the batch is
+acknowledged (no acked event is ever lost).  ``batch`` fsyncs once
+``batch_every`` or more appended events are unsynced, so at most
+``batch_every - 1`` acknowledged events can be lost; a crash between a
+batch's write and its fsync can drop up to ``batch_every + B - 1``
+logged events for a batch of B, of which the batch's own B were not
+acknowledged yet.  ``never`` leaves durability to the OS.  Segment
+rotation and snapshot compaction fsync unconditionally, so segment
+*bases* always sit on the durable prefix regardless of policy.
 
 **Compaction.**  Every ``compact_every`` appends the writer writes the
 runtime's full state to ``snapshot-<n>.json`` via write-temp / fsync /
@@ -276,34 +283,54 @@ class WALWriter:
         """Event indices [0, n_appended) have been handed to the log."""
         return self._n
 
+    @property
+    def compaction_due(self) -> bool:
+        """True once the events not yet logged reach the snapshot interval.
+
+        A caller applying several requests before one :meth:`append_new`
+        appends as soon as this turns true, so each snapshot lands on the
+        same event index as with one append per event.
+        """
+        unlogged = self._runtime.n_events - self._n
+        return 0 < self._compact_every <= self._since_snapshot + unlogged
+
     def append_new(self) -> int:
         """Append every runtime event not yet logged; returns the count.
 
-        Call after applying a request to the runtime and before
-        acknowledging it.  Fsyncs per policy, rotates full segments, and
-        compacts when the snapshot interval is reached.  Raises
-        :class:`WALError` if the log can no longer persist (the server
-        fail-stops on that).
+        Call after applying one or more requests to the runtime and before
+        acknowledging any of them.  The frames go out in one write per
+        segment they land in, followed by at most one policy fsync; full
+        segments rotate at the same event index as one append per event,
+        and the writer compacts when the snapshot interval is reached.
+        Raises :class:`WALError` if the log can no longer persist (the
+        server fail-stops on that).
         """
         if self._fh is None:
             raise WALError("write-ahead log is closed")
         events = self._runtime.events_since(self._n)
-        for event in events:
-            if self._faults is not None:
-                self._faults.point("wal.append.before")
-            payload = _dumps({"i": self._n, "e": event}).encode()
-            self._write(self._fh, _frame(payload))
-            self._n += 1
-            self._records += 1
-            self._pending += 1
-            self._since_snapshot += 1
-            self._metrics.counter("wal_appends").inc()
+        done = 0
+        while done < len(events):
+            chunk = events[done:done + self._segment_records - self._records]
+            frames = []
+            for offset, event in enumerate(chunk):
+                if self._faults is not None:
+                    self._faults.point("wal.append.before")
+                payload = _dumps({"i": self._n + offset, "e": event}).encode()
+                frames.append(_frame(payload))
+            self._write(self._fh, b"".join(frames))
+            done += len(chunk)
+            self._n += len(chunk)
+            self._records += len(chunk)
+            self._pending += len(chunk)
+            self._since_snapshot += len(chunk)
+            self._metrics.counter("wal_appends").inc(len(chunk))
             if self._fsync_policy == "always" or (
                 self._fsync_policy == "batch" and self._pending >= self._batch_every
             ):
                 self._fsync_file(self._fh)
             if self._faults is not None:
-                self._faults.point("wal.append.after")
+                for _ in chunk:
+                    self._faults.point("wal.append.after")
             if self._records >= self._segment_records:
                 self._rotate()
         if self._compact_every > 0 and self._since_snapshot >= self._compact_every:

@@ -7,10 +7,10 @@ the recursive reference search is in ``test_batched_search.py``.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import optimize
 
-from repro import ConfigSolver, Ladder, optimal_config
+from repro import ConfigSolver, Ladder, MachineType, optimal_config
 from tests.conftest import any_ladder_strategy
 
 
@@ -104,11 +104,13 @@ class TestOptimalConfig:
     any_ladder_strategy(max_m=4),
     st.lists(st.floats(0.0, 30.0), min_size=4, max_size=4),
 )
+# HiGHS rounds a demand of exactly 1e-6 away (MILP rate 0.0, DP 1.0)
+@example(Ladder([MachineType(1.0, 1.0)]), [0.0, 0.0, 0.0, 1e-06])
 def test_property_dp_matches_milp(ladder, raw):
     # build a non-increasing demand vector of the right length; clamp values
-    # below HiGHS's feasibility tolerance (the DP would rightly buy a machine
-    # for a 1e-7 demand while the MILP's tolerance rounds it away)
-    vals = sorted((0.0 if v < 1e-6 else float(v) for v in raw), reverse=True)[: ladder.m]
+    # up to HiGHS's feasibility tolerance (the DP would rightly buy a machine
+    # for a 1e-6 demand while the MILP's tolerance rounds it away)
+    vals = sorted((0.0 if v <= 1e-6 else float(v) for v in raw), reverse=True)[: ladder.m]
     while len(vals) < ladder.m:
         vals.append(0.0)
     demands = tuple(vals)

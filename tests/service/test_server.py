@@ -7,6 +7,7 @@ import os
 import socket
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,13 @@ import pytest
 
 from repro import dec_ladder, run_online, uniform_workload
 from repro.core.events import EventKind, event_stream
+from repro.service import runtime as runtime_module
+from repro.service import wal as wal_module
 from repro.service.checkpoint import load_checkpoint
+from repro.service.faults import FaultInjector, FaultPlan, FaultPoint
 from repro.service.runtime import SchedulerRuntime, make_scheduler
 from repro.service.server import SchedulerServer
+from repro.service.wal import WALWriter
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -91,6 +96,51 @@ class TestHandleLine:
     def test_shutdown_response(self):
         server = SchedulerServer(make_runtime())
         assert server.handle_line(json.dumps({"op": "shutdown"}))["bye"]
+
+
+class TestWireFields:
+    """A uid must be a JSON integer and a size or time a JSON number; a
+    bool, a float uid or a numeric string is refused and changes nothing."""
+
+    @pytest.mark.parametrize("request_doc", [
+        {"op": "depart", "uid": 7.9, "t": 1},
+        {"op": "depart", "uid": True, "t": 1},
+        {"op": "depart", "uid": "7", "t": 1},
+        {"op": "depart", "uid": 7, "t": "3"},
+        {"op": "depart", "uid": 7, "t": True},
+        {"op": "submit", "size": 0.5, "t": 1, "uid": 8.5},
+        {"op": "submit", "size": 0.5, "t": 1, "uid": True},
+        {"op": "submit", "size": 0.5, "t": 1, "uid": 7.0},
+        {"op": "submit", "size": True, "t": 1},
+        {"op": "submit", "size": "0.5", "t": 1},
+        {"op": "submit", "size": 0.5, "t": "3"},
+        {"op": "submit", "size": 0.5, "t": False},
+        {"op": "advance", "t": "3"},
+        {"op": "advance", "t": True},
+        {"op": "advance", "t": None},
+    ])
+    def test_malformed_field_is_invalid_and_changes_nothing(self, request_doc):
+        server = SchedulerServer(make_runtime())
+        runtime = server.runtime
+        assert server.handle_line(
+            json.dumps({"op": "submit", "size": 0.5, "t": 0.0, "uid": 7})
+        )["ok"]
+        before = (runtime.n_events, runtime.n_active, runtime.clock,
+                  runtime.active_uids())
+        reply = server.handle_line(json.dumps(request_doc))
+        assert not reply["ok"]
+        assert reply["error"]["code"] == "invalid-request"
+        assert (runtime.n_events, runtime.n_active, runtime.clock,
+                runtime.active_uids()) == before
+        assert not runtime.knows_uid(1) and not runtime.knows_uid(8)
+
+    def test_integral_numbers_are_accepted(self):
+        server = SchedulerServer(make_runtime())
+        r = server.handle_line(json.dumps({"op": "submit", "size": 1, "t": 0, "uid": 3}))
+        assert r["ok"] and r["uid"] == 3
+        r = server.handle_line(json.dumps({"op": "depart", "uid": 3, "t": 2}))
+        assert r == {"ok": True, "uid": 3}
+        assert server.handle_line(json.dumps({"op": "advance", "t": 5}))["clock"] == 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +282,156 @@ class TestServerRobustness:
     def test_idle_read_timeout(self):
         response = asyncio.run(_idle_timeout())
         assert response["error"]["code"] == "idle-timeout"
+
+
+# ---------------------------------------------------------------------------
+# pipelining: every buffered line is answered as one batch
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def frozen_clock(monkeypatch):
+    """Latency metrics read a clock that never moves, so two runs of one
+    request stream give byte-identical ``stats`` replies."""
+    frozen = types.SimpleNamespace(perf_counter=lambda: 0.0)
+    monkeypatch.setattr(runtime_module, "time", frozen)
+    monkeypatch.setattr(wal_module, "time", frozen)
+
+
+def pipeline_requests() -> list[bytes]:
+    """120 events of a 60-job stream, with a malformed line, an unknown op,
+    a duplicate uid, an empty line and ``stats`` reads mixed in."""
+    jobs = uniform_workload(60, np.random.default_rng(21), max_size=dec_ladder(3).capacity(3))
+    lines = []
+    for ev in event_stream(jobs):
+        if ev.kind is EventKind.ARRIVE:
+            doc = {"op": "submit", "size": ev.job.size, "t": ev.job.arrival,
+                   "uid": ev.job.uid, "name": ev.job.name}
+        else:
+            doc = {"op": "depart", "uid": ev.job.uid, "t": ev.job.departure}
+        lines.append((json.dumps(doc) + "\n").encode())
+    first = json.loads(lines[0])
+    lines.insert(10, b'{"op": "submit", "size": \n')
+    lines.insert(20, b'{"op": "fly"}\n')
+    lines.insert(30, (json.dumps(first) + "\n").encode())  # duplicate uid
+    lines.insert(40, b"\n")
+    lines.insert(50, b'{"op": "stats"}\n')
+    lines.insert(70, b'{"op": "schedule"}\n')
+    lines.append(b'{"op": "stats"}\n')
+    return lines
+
+
+async def _replies(wal_dir, lines: list[bytes], *, pipelined: bool):
+    """Raw reply lines of one fresh WAL-backed server, and the sizes of
+    the batches it answered."""
+    runtime = make_runtime()
+    wal = WALWriter(wal_dir, runtime, fsync="never", segment_records=8,
+                    compact_every=20)
+    server = SchedulerServer(runtime, wal=wal)
+    batches = []
+    respond = server._respond
+
+    async def recording(batch):
+        batches.append(len(batch))
+        return await respond(batch)
+
+    server._respond = recording
+    host, port = await server.start("127.0.0.1", 0)
+    reader, writer = await asyncio.open_connection(host, port)
+    out = []
+    if pipelined:
+        writer.write(b"".join(lines))  # the whole stream in one send
+        await writer.drain()
+        for _ in lines:
+            out.append(await reader.readline())
+    else:
+        for line in lines:
+            writer.write(line)
+            await writer.drain()
+            out.append(await reader.readline())
+    files = {p.name: p.read_bytes() for p in sorted(wal_dir.iterdir())}
+    writer.close()
+    await server.drain()
+    return out, batches, files
+
+
+class TestPipelining:
+    def test_one_send_matches_one_request_at_a_time(self, tmp_path, frozen_clock):
+        lines = pipeline_requests()
+        assert len(lines) >= 100
+        piped, batches, piped_files = asyncio.run(
+            _replies(tmp_path / "piped", lines, pipelined=True))
+        single, singles, single_files = asyncio.run(
+            _replies(tmp_path / "single", lines, pipelined=False))
+        assert singles == [1] * len(lines)
+        assert max(batches) > 1 and sum(batches) == len(lines)
+        assert max(batches) <= 64  # the default in-flight cap bounds a batch
+        assert piped == single  # byte-identical, in request order
+        codes = [json.loads(r).get("error", {}).get("code") for r in piped]
+        assert codes[10] == "bad-request" and codes[40] == "bad-request"
+        assert codes[20] == "unknown-op" and codes[30] == "duplicate-uid"
+        assert json.loads(piped[50])["metrics"]["wal_appends"]["value"] > 0
+        # the same segments and snapshots, at the same event indices
+        assert piped_files == single_files
+
+    def test_lines_before_an_overlong_line_are_answered(self):
+        async def scenario():
+            server = SchedulerServer(make_runtime(), max_line_bytes=256)
+            host, port = await server.start("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"op": "advance", "t": 1.0}\n{"op": "stats"}\n'
+                         + b'{"op": "submit", "name": "' + b"x" * 1024 + b'"}\n'
+                         + b'{"op": "advance", "t": 2.0}\n')
+            await writer.drain()
+            out = [json.loads(line) for line in (await reader.read()).splitlines()]
+            writer.close()
+            await server.drain()
+            return out, server.runtime.clock
+
+        out, clock = asyncio.run(scenario())
+        assert [r.get("error", {}).get("code") for r in out] == [None, None, "line-too-long"]
+        assert clock == 1.0  # nothing after the over-long line ran
+
+    def test_unterminated_last_line_is_answered_at_eof(self):
+        async def scenario():
+            server = SchedulerServer(make_runtime())
+            host, port = await server.start("127.0.0.1", 0)
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(b'{"op": "advance", "t": 1.0}\n{"op": "advance", "t": 2.0}')
+            writer.write_eof()
+            out = [json.loads(line) for line in (await reader.read()).splitlines()]
+            writer.close()
+            await server.drain()
+            return out
+
+        assert [r["clock"] for r in asyncio.run(scenario())] == [1.0, 2.0]
+
+    def test_failed_append_fails_every_success_reply_of_the_batch(self, tmp_path):
+        async def scenario():
+            # fsync 1 is the segment header's; fsync 2 is the batch's
+            injector = FaultInjector(FaultPlan.of(FaultPoint("fsync-error", 2)))
+            runtime = make_runtime()
+            wal = WALWriter(tmp_path / "wal", runtime, fsync="always", faults=injector)
+            server = SchedulerServer(runtime, wal=wal, faults=injector)
+            host, port = await server.start("127.0.0.1", 0)
+            waiter = asyncio.create_task(server.wait_shutdown())
+            reader, writer = await asyncio.open_connection(host, port)
+            # the read appends the two submits before it runs, and fails
+            writer.write(b'{"op": "submit", "size": 0.5, "t": 0.0, "uid": 1}\n'
+                         b'{"op": "submit", "size": \n'
+                         b'{"op": "submit", "size": 0.5, "t": 1.0, "uid": 2}\n'
+                         b'{"op": "stats"}\n'
+                         b'{"op": "advance", "t": 2.0}\n')
+            await writer.drain()
+            out = [json.loads(await reader.readline()) for _ in range(5)]
+            writer.close()
+            await asyncio.wait_for(waiter, timeout=5)  # the server fail-stopped
+            return out, runtime.clock
+
+        out, clock = asyncio.run(scenario())
+        codes = [r["error"]["code"] for r in out]
+        assert codes == ["storage-error", "bad-request", "storage-error",
+                         "storage-error", "draining"]
+        assert clock == 1.0  # nothing ran after the failed append
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ anything worse fails loudly; after compaction, restore cost is
 O(state) + O(delta) rather than O(all events ever).
 """
 
+import itertools
 import json
 import shutil
 import struct
@@ -33,15 +34,23 @@ def make_runtime(metrics=None):
     )
 
 
+def apply_event(rt, ev):
+    if ev.kind is EventKind.ARRIVE:
+        rt.submit(ev.job.size, ev.job.arrival, name=ev.job.name, uid=ev.job.uid)
+    else:
+        rt.depart(ev.job.uid, ev.job.departure)
+
+
 def drive_with_wal(rt, wal, jobs, *, stop_after=None):
     for i, ev in enumerate(event_stream(jobs)):
         if stop_after is not None and i >= stop_after:
             break
-        if ev.kind is EventKind.ARRIVE:
-            rt.submit(ev.job.size, ev.job.arrival, name=ev.job.name, uid=ev.job.uid)
-        else:
-            rt.depart(ev.job.uid, ev.job.departure)
+        apply_event(rt, ev)
         wal.append_new()
+
+
+def wal_files(wal_dir) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(Path(wal_dir).iterdir())}
 
 
 @pytest.fixture
@@ -128,6 +137,70 @@ class TestAppendRecover:
     def test_missing_dir_is_loud(self, tmp_path):
         with pytest.raises(WALError, match="no WAL directory"):
             recover(tmp_path / "nope")
+
+
+class TestGroupCommit:
+    """One ``append_new`` over a batch of events writes the bytes one
+    append per event writes, with one write per segment and one policy
+    fsync per write."""
+
+    # 10 events in segments of 4: the 5-event call crosses both rotations.
+    # Fsyncs, one append per event: header 1 + per policy + 2 per rotation
+    # (rotation, new header) + close 1; batch_every=3 syncs after events
+    # 3 and 7 and at both rotations.  Batched: always syncs once per write
+    # (3 + 1 + 4 + 2 events), batch once 3 or more are unsynced.
+    @pytest.mark.parametrize("fsync, per_event, batched", [
+        ("always", 16, 10), ("batch", 8, 8), ("never", 3, 3),
+    ])
+    def test_batched_append_writes_the_same_segments(
+        self, fsync, per_event, batched, jobs, tmp_path
+    ):
+        events = list(event_stream(jobs))[:10]
+        runs = {}
+        for name, chunks in (("single", [1] * 10), ("batched", [3, 5, 2])):
+            rt = make_runtime()
+            wal = WALWriter(tmp_path / name, rt, fsync=fsync, batch_every=3,
+                            segment_records=4)
+            stream = iter(events)
+            for k in chunks:
+                for ev in itertools.islice(stream, k):
+                    apply_event(rt, ev)
+                assert wal.append_new() == k
+            wal.close()
+            runs[name] = (wal_files(tmp_path / name), rt.metrics.counter("wal_fsyncs").value,
+                          rt.metrics.counter("wal_appends").value)
+        assert runs["batched"][0] == runs["single"][0]
+        assert list(runs["single"][0]) == [
+            "wal-0000000000000000.log", "wal-0000000000000004.log", "wal-0000000000000008.log",
+        ]
+        assert (runs["single"][1], runs["batched"][1]) == (per_event, batched)
+        assert runs["single"][2] == runs["batched"][2] == 10
+
+    def test_snapshots_land_on_the_same_event_index(self, jobs, tmp_path):
+        """Appending early once ``compaction_due`` turns true (as the server
+        does mid-batch) keeps every snapshot and rotation where one append
+        per event puts it."""
+        events = list(event_stream(jobs))
+        single, batched = make_runtime(), make_runtime()
+        kw = dict(fsync="batch", batch_every=5, segment_records=4, compact_every=6)
+        wal_single = WALWriter(tmp_path / "single", single, **kw)
+        wal_batched = WALWriter(tmp_path / "batched", batched, **kw)
+        for ev in events:
+            apply_event(single, ev)
+            wal_single.append_new()
+        sizes = itertools.cycle([7, 1, 9, 4, 13])
+        stream = iter(events)
+        while batch := list(itertools.islice(stream, next(sizes))):
+            for ev in batch:
+                apply_event(batched, ev)
+                if wal_batched.compaction_due:
+                    wal_batched.append_new()
+            wal_batched.append_new()
+        assert wal_files(tmp_path / "batched") == wal_files(tmp_path / "single")
+        assert sorted((tmp_path / "single").glob("snapshot-*.json"))
+        wal_single.close()
+        wal_batched.close()
+        assert wal_files(tmp_path / "batched") == wal_files(tmp_path / "single")
 
 
 class TestTornTail:
